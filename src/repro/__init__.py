@@ -37,7 +37,7 @@ from repro import (
     workloads,
 )
 
-__version__ = "1.1.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "analysis",

@@ -68,20 +68,6 @@ from repro.analysis.voids import CaptureVoidReport, find_capture_voids
 from repro.core.health import IngestError, IngestIssue, TraceHealth
 
 
-def __getattr__(name: str):
-    # Deprecated re-export: the supported entry point is the
-    # repro.api facade (engine code imports repro.analysis.tdat).
-    if name == "analyze_pcap":
-        from repro.analysis.tdat import analyze_pcap
-        from repro.core.deprecation import warn_deprecated
-
-        warn_deprecated(
-            "importing analyze_pcap from repro.analysis is deprecated; "
-            "use repro.api.Pipeline().analyze(...) or import it from "
-            "repro.analysis.tdat"
-        )
-        return analyze_pcap
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "IngestError",
@@ -123,7 +109,6 @@ __all__ = [
     "ResourceBudget",
     "StateLedger",
     "analyze_connection",
-    "analyze_pcap",
     "canonical_key",
     "find_capture_voids",
     "classify",

@@ -382,27 +382,19 @@ class Trace:
         source: BinaryIO | str | Path | list[PcapRecord],
         health: TraceHealth | None = None,
         tolerant: bool = False,
-        *,
-        mmap: bool | None = None,
-        decode_batch: int | None = None,
     ) -> "Trace":
         """Parse a pcap file (or pre-read records) into connections.
 
         With ``tolerant=True`` the pcap layer survives structural
         damage (see :class:`~repro.wire.pcap.PcapReader`); either way,
         undecodable frames are skipped and accounted in ``health``.
-        ``mmap`` and ``decode_batch`` tune the reader's zero-copy fast
-        path (result-identical; see :class:`~repro.wire.pcap.PcapReader`).
         """
         trace = cls(health=health)
         if isinstance(source, list):
             records = source
             trace.health.records_read += len(records)
         else:
-            records = read_pcap(
-                source, tolerant=tolerant, health=trace.health,
-                mmap=mmap, decode_batch=decode_batch,
-            )
+            records = read_pcap(source, tolerant=tolerant, health=trace.health)
         for index, record in enumerate(records):
             trace.total_records += 1
             try:
@@ -521,8 +513,6 @@ def iter_connections(
     tolerant: bool = False,
     linger_us: int = DEFAULT_LINGER_US,
     *,
-    mmap: bool | None = None,
-    decode_batch: int | None = None,
     ledger: StateLedger | None = None,
 ) -> Iterator[Connection]:
     """Stream finalized connections out of a capture, flow by flow.
@@ -552,10 +542,7 @@ def iter_connections(
         records: Iterator[PcapRecord] = iter(source)
         reader_counts = False
     else:
-        reader = PcapReader(
-            source, tolerant=tolerant, health=health,
-            mmap=mmap, decode_batch=decode_batch,
-        )
+        reader = PcapReader(source, tolerant=tolerant, health=health)
         records = iter(reader)
         reader_counts = True
     open_flows: dict[FlowKey, _OpenFlow] = {}

@@ -79,10 +79,6 @@ SERIES_NAMES = [
 ]
 
 
-#: accepted values of :attr:`SeriesConfig.series_backend`.
-SERIES_BACKENDS = ("auto", "python", "numpy")
-
-
 @dataclass
 class SeriesConfig:
     """Tunables of the series generator (paper defaults)."""
@@ -96,40 +92,6 @@ class SeriesConfig:
     bandwidth_slack: float = 1.3
     # Minimum packets of sustained bottleneck spacing.
     bandwidth_min_packets: int = 5
-    # Accumulation backend for the Outstanding kernel: "python" is the
-    # reference event walk, "numpy" the vectorized equivalent (errors
-    # when numpy is absent), "auto" picks numpy only for connections
-    # large enough to amortize the array round-trip.  All three produce
-    # byte-identical series.
-    series_backend: str = "auto"
-
-
-#: below this many events per connection "auto" keeps the pure-python
-#: walk: the list<->array round-trip costs more than the loop it
-#: replaces (and the decision is made before numpy is even imported,
-#: so small-connection analyses never pay the import either).
-AUTO_MIN_EVENTS = 4096
-
-
-def _resolve_backend(name: str, n_events: int):
-    """The series_np module to use, or None for the pure-python walk."""
-    if name not in SERIES_BACKENDS:
-        raise ValueError(
-            f"unknown series_backend {name!r}; expected one of {SERIES_BACKENDS}"
-        )
-    if name == "python":
-        return None
-    if name == "auto" and n_events < AUTO_MIN_EVENTS:
-        return None
-    from repro.analysis import series_np
-
-    if not series_np.AVAILABLE:
-        if name == "numpy":
-            raise ValueError(
-                "series_backend='numpy' requested but numpy is not installed"
-            )
-        return None
-    return series_np
 
 
 class StepFunction:
@@ -241,8 +203,6 @@ def generate_series(
     # ------------------------------------------------------------- #
     # Extraction                                                      #
     # ------------------------------------------------------------- #
-    backend = _resolve_backend(config.series_backend, len(data) + len(acks))
-
     transmission = TimeRangeSet()
     for packet in data:
         ser = max(1, round(packet.wire_len * byte_time))
@@ -257,12 +217,7 @@ def generate_series(
     catalog.put(EventSeries("Transmission", transmission,
                             "time actually spent clocking data onto the wire"))
 
-    if backend is not None:
-        outstanding_fn, outstanding_set = backend.outstanding(
-            connection, data, acks
-        )
-    else:
-        outstanding_fn, outstanding_set = _outstanding(connection, data, acks)
+    outstanding_fn, outstanding_set = _outstanding(connection, data, acks)
     catalog.put(EventSeries("Outstanding", outstanding_set,
                             "periods with unacknowledged data in flight"))
 

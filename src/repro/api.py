@@ -36,11 +36,7 @@ from typing import Any, BinaryIO, Iterator
 
 from repro.analysis.budget import ResourceBudget
 from repro.analysis.profile import FlowKey
-from repro.analysis.series import (
-    SERIES_BACKENDS,
-    SNIFFER_AT_RECEIVER,
-    SeriesConfig,
-)
+from repro.analysis.series import SNIFFER_AT_RECEIVER, SeriesConfig
 from repro.analysis.tdat import (
     ConnectionAnalysis,
     TdatReport,
@@ -63,15 +59,9 @@ from repro.workloads.campaign import (
 class AnalysisRequest:
     """One capture to analyze, plus the knobs that shape the run.
 
-    The performance knobs (``mmap``, ``decode_batch``,
-    ``series_backend``) select result-identical fast paths — every one
-    is differentially tested against its pure-python reference and
-    falls back automatically when its preconditions fail.  ``None``
-    inherits the :class:`Pipeline` default.
-
-    ``budget`` bounds the live analysis state
-    (:class:`~repro.analysis.budget.ResourceBudget`); like the
-    performance knobs, ``None`` inherits the pipeline's budget.
+    ``None`` in ``strict``, ``streaming``, ``workers`` or ``budget``
+    inherits the :class:`Pipeline` default.  ``budget`` bounds the live
+    analysis state (:class:`~repro.analysis.budget.ResourceBudget`).
     """
 
     source: BinaryIO | str | Path | list[PcapRecord]
@@ -82,9 +72,6 @@ class AnalysisRequest:
     strict: bool | None = None  # None → inherit from the Pipeline
     streaming: bool | None = None
     workers: int | None = None
-    mmap: bool | None = None
-    decode_batch: int | None = None
-    series_backend: str | None = None  # one of SERIES_BACKENDS
     budget: ResourceBudget | None = None
 
 
@@ -175,22 +162,11 @@ class Pipeline:
     ``result.metrics``, and ``pipeline.obs.tracer`` holds the spans.
     Left at ``None`` (the default), every instrumentation point in the
     engine dispatches through the shared no-op context.
-
-    The performance knobs — ``mmap`` (zero-copy pcap scanning),
-    ``decode_batch`` (fast-path decode granularity) and
-    ``series_backend`` (``"auto"`` | ``"python"`` | ``"numpy"`` series
-    kernels) — set the default for every analysis run through this
-    pipeline; an :class:`AnalysisRequest` can override each per run.
-    All of them are result-preserving: the fast paths are
-    byte-identical to their references and degrade automatically.
     """
 
     workers: int = 1
     strict: bool = False
     streaming: bool = False
-    mmap: bool | None = None
-    decode_batch: int | None = None
-    series_backend: str = "auto"
     budget: ResourceBudget | None = None
     seed: int | None = None
     task_timeout: float | None = None
@@ -284,11 +260,6 @@ class Pipeline:
             config=request.config,
             min_data_packets=request.min_data_packets,
             strict=self._knob(request.strict, self.strict),
-            mmap=self._knob(request.mmap, self.mmap),
-            decode_batch=self._knob(request.decode_batch, self.decode_batch),
-            series_backend=self._knob(
-                request.series_backend, self.series_backend
-            ),
             budget=self._knob(request.budget, self.budget),
         )
 
@@ -313,7 +284,7 @@ class Pipeline:
 
         The returned :class:`~repro.serve.AnalysisServer` hosts
         sessions whose defaults come from this pipeline (budget,
-        strict, series backend); callers drive it themselves —
+        strict); callers drive it themselves —
         ``await server.serve()`` inside a loop, or ``server.run()``
         to block.  The pipeline's observability context (or, absent
         one, a metrics-only server context backing ``/metrics``) is
@@ -334,7 +305,6 @@ class Pipeline:
             sniffer_location=request.sniffer_location,
             min_data_packets=request.min_data_packets,
             strict=self._knob(request.strict, self.strict),
-            series_backend=self.series_backend,
         )
         return AnalysisServer(
             manager,
@@ -399,13 +369,6 @@ class Pipeline:
                             request.streaming, self.streaming
                         ),
                         pool=pool,
-                        mmap=self._knob(request.mmap, self.mmap),
-                        decode_batch=self._knob(
-                            request.decode_batch, self.decode_batch
-                        ),
-                        series_backend=self._knob(
-                            request.series_backend, self.series_backend
-                        ),
                         budget=self._knob(request.budget, self.budget),
                     )
             if isinstance(request, CampaignRequest):
@@ -440,7 +403,6 @@ __all__ = [
     "TdatReport",
     "CampaignResult",
     "TraceHealth",
-    "SERIES_BACKENDS",
     "SeriesConfig",
     "ResourceBudget",
 ]

@@ -11,8 +11,7 @@ Drives the robustness invariant the ingest layer promises:
 * **clean is clean** — the unmangled trace produces an empty report and
   factor vectors identical to the strict (legacy fail-fast) pipeline.
 
-Run it from the command line (``python -m repro.faults.fuzz`` is the
-deprecated spelling of the same driver)::
+Run it from the command line::
 
     tdat fuzz --seeds 200
 
@@ -200,7 +199,7 @@ def run_fuzz(
 def main(argv: list[str] | None = None) -> int:
     """CLI: run a campaign and exit nonzero on any invariant violation."""
     parser = argparse.ArgumentParser(
-        prog="python -m repro.faults.fuzz",
+        prog="tdat fuzz",
         description="Fuzz the T-DAT ingest pipeline with mangled pcaps",
     )
     parser.add_argument(
@@ -255,19 +254,3 @@ def main(argv: list[str] | None = None) -> int:
     print(report.summary())
     return 0 if report.ok else 1
 
-
-def _deprecated_entry() -> int:  # pragma: no cover - exercised via CI
-    # Deprecated spelling: the promoted entry point is ``tdat fuzz``.
-    # The warning fires only on direct execution, never on import (the
-    # CI deprecation gate imports with -W error) and never through
-    # ``tdat fuzz`` (which calls :func:`main` directly).
-    from repro.core.deprecation import warn_deprecated
-
-    warn_deprecated(
-        "python -m repro.faults.fuzz is deprecated; use `tdat fuzz`"
-    )
-    return main()
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via CI
-    raise SystemExit(_deprecated_entry())

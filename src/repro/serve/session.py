@@ -187,7 +187,6 @@ class AnalysisSession:
         sniffer_location: str = SNIFFER_AT_RECEIVER,
         min_data_packets: int = 2,
         strict: bool = False,
-        series_backend: str = "auto",
     ) -> None:
         self.id = session_id
         self.lock = threading.RLock()
@@ -209,7 +208,6 @@ class AnalysisSession:
         self._kwargs = dict(
             sniffer_location=sniffer_location,
             min_data_packets=min_data_packets,
-            series_backend=series_backend,
         )
         self._thread = threading.Thread(
             target=self._run, name=f"serve-{session_id}", daemon=True
@@ -221,15 +219,13 @@ class AnalysisSession:
     # ------------------------------------------------------------------
     def _run(self) -> None:
         try:
-            # The feeder is pipe-like (no tell/fileno), so the mmap
-            # fast path can never engage; disable it explicitly rather
-            # than relying on the fallback probe.
+            # The feeder is pipe-like (no tell), so the reader takes its
+            # streaming path.
             stream = iter_analyze_pcap(
                 self.feeder,
                 strict=self._strict,
                 health=self.renderer.health,
                 ledger=self._ledger,
-                mmap=False,
                 **self._kwargs,
             )
             for analysis in stream:

@@ -11,8 +11,9 @@ comparable performance record across commits:
 * ``ingest`` — per-stage packets/sec over a capture: pcap record
   reading, frame decoding, and the full ``analyze_pcap`` pipeline,
   each measured twice — fast paths on (mmap scanning, fused frame
-  decode, auto series backend) and forced off — with a byte-identity
-  check between the two analysis reports and a ``--baseline`` /
+  decode) and off (the streaming reader, fed through a non-seekable
+  stream, and the layered frame decoder) — with a byte-identity check
+  between the two analysis reports and a ``--baseline`` /
   ``--max-regression`` gate over the history;
 * ``obs-overhead`` — the observability subsystem's cost: an
   obs-enabled serial campaign vs. disabled samples plus the no-op
@@ -239,7 +240,7 @@ def _run_campaign_mode(args) -> int:
         "identical": identical,
     }
 
-    if args.mode == "checkpoint-overhead" or args.checkpoint_overhead:
+    if args.mode == "checkpoint-overhead":
         with tempfile.TemporaryDirectory(prefix="bench-ckpt-") as ckpt:
             _status(args, "checkpointed serial run (fsync'd journal) ...")
             journaled = _measure(args, workers=1, checkpoint_dir=ckpt)
@@ -257,7 +258,7 @@ def _run_campaign_mode(args) -> int:
             ),
         }
 
-    if args.mode == "obs-overhead" or args.obs_overhead:
+    if args.mode == "obs-overhead":
         _status(args, "obs-enabled serial run (metrics + tracing) ...")
         enabled = _measure(args, workers=1, obs=True)
         _status(args, f"  {enabled['wall_s']:.1f}s, {enabled['records']} records")
@@ -405,6 +406,14 @@ def _analysis_digest(report) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
+class _Unseekable:
+    """A file's ``read`` alone: with no ``tell`` to probe, the pcap
+    reader cannot map the source and takes its streaming path."""
+
+    def __init__(self, handle) -> None:
+        self.read = handle.read
+
+
 def _run_ingest(args) -> int:
     from repro.analysis.tdat import analyze_pcap
     from repro.wire import frames
@@ -459,9 +468,8 @@ def _run_ingest(args) -> int:
             return analyze_pcap(corpus)
 
         def analyze_reference():
-            return analyze_pcap(
-                corpus, mmap=False, series_backend="python"
-            )
+            with open(corpus, "rb") as handle:
+                return analyze_pcap(_Unseekable(handle))
 
         stages = {}
         for name, fast_fn, ref_fn in (
@@ -617,16 +625,6 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--assert-speedup", type=float, metavar="X",
         help="campaign mode: exit 5 unless parallel speedup >= X",
-    )
-    parser.add_argument(
-        "--checkpoint-overhead", action="store_true",
-        help="campaign mode: also measure a checkpointed serial run "
-        "(same as mode checkpoint-overhead)",
-    )
-    parser.add_argument(
-        "--obs-overhead", action="store_true",
-        help="campaign mode: also measure observability overhead "
-        "(same as mode obs-overhead)",
     )
     parser.add_argument(
         "--assert-obs-overhead", type=float, metavar="X",

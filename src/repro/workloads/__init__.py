@@ -25,20 +25,6 @@ from repro.workloads.scenarios import (
 )
 
 
-def __getattr__(name: str):
-    # Deprecated re-export: the supported entry point is the
-    # repro.api facade (engine code imports repro.workloads.campaign).
-    if name == "run_campaign":
-        from repro.core.deprecation import warn_deprecated
-        from repro.workloads.campaign import run_campaign
-
-        warn_deprecated(
-            "importing run_campaign from repro.workloads is deprecated; "
-            "use repro.api.Pipeline().campaign(...) or import it from "
-            "repro.workloads.campaign"
-        )
-        return run_campaign
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "CAMPAIGNS",
@@ -57,7 +43,6 @@ __all__ = [
     "isp_quagga_config",
     "isp_vendor_config",
     "routeviews_config",
-    "run_campaign",
     "run_concurrency_sweep",
     "run_episode",
     "run_peer_group_episode",

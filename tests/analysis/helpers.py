@@ -9,6 +9,18 @@ SPORT = 40000
 DPORT = 179
 
 
+class Unseekable:
+    """A binary stream's ``read`` alone, with no ``tell`` or ``seek``.
+
+    The pcap reader can only map a source it can position, so a capture
+    read through this wrapper takes the streaming reader, as uploads to
+    :mod:`repro.serve` do.
+    """
+
+    def __init__(self, stream):
+        self.read = stream.read
+
+
 class TraceBuilder:
     """Builds a Connection packet-by-packet with relative sequences.
 

@@ -1,10 +1,12 @@
 """Differential suite: every fast path vs. its pure-python reference.
 
-The performance knobs (``mmap``, ``decode_batch``, ``series_backend``)
-select fast paths that must be **byte-identical** to the reference
-implementations — over clean captures, over the mangled-pcap fault
-corpus, and over adversarial record layouts drawn by Hypothesis.
-These tests are the contract the knobs advertise.
+The mmap pcap scanner (with its ``decode_batch`` batching) and the
+fused frame decoder must be **byte-identical** to the streaming reader
+and the layered decoder — over clean captures, over the mangled-pcap
+fault corpus, and over adversarial record layouts drawn by Hypothesis.
+At the reader level the reference is selected with ``mmap=False``; at
+the analysis level it is a non-seekable stream, which the reader
+cannot map.
 """
 
 import io
@@ -14,8 +16,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import series_np
-from repro.analysis.series import SeriesConfig, generate_series
 from repro.analysis.tdat import analyze_pcap
 from repro.core.health import TraceHealth
 from repro.faults.fuzz import clean_trace_bytes
@@ -23,7 +23,7 @@ from repro.faults.mangle import OPERATORS, mangle
 from repro.tools.tdat_cli import _analysis_to_dict
 from repro.wire import frames
 from repro.wire.pcap import PcapReader, PcapRecord, records_to_bytes
-from tests.analysis.helpers import TraceBuilder
+from tests.analysis.helpers import Unseekable
 
 
 @pytest.fixture(scope="module")
@@ -32,9 +32,14 @@ def clean_blob():
     return clean_trace_bytes(table_prefixes=800, duration_s=60)
 
 
-def analyze_payload(blob: bytes, **knobs) -> dict:
-    """The canonical {connections, health} JSON view of one analysis."""
-    report = analyze_pcap(io.BytesIO(blob), **knobs)
+def analyze_payload(blob: bytes, reference: bool = False, **knobs) -> dict:
+    """The canonical {connections, health} JSON view of one analysis.
+
+    ``reference=True`` feeds the capture through a non-seekable stream,
+    so ingest runs on the streaming reader instead of the mmap scanner.
+    """
+    stream = io.BytesIO(blob)
+    report = analyze_pcap(Unseekable(stream) if reference else stream, **knobs)
     payload = {
         "connections": {
             str(key): _analysis_to_dict(analysis)
@@ -57,21 +62,30 @@ def read_outcome(blob: bytes, **reader_knobs):
 
 
 class TestAnalyzeDifferential:
-    """Full-pipeline identity: fast knobs on vs. forced off."""
+    """Full-pipeline identity: mmap scanner vs. streaming reader."""
+
+    def test_reference_stream_takes_the_streaming_reader(
+        self, clean_blob, monkeypatch
+    ):
+        """No ``tell``, no scan: the reference here, and every
+        :mod:`repro.serve` upload, must reach the streaming reader."""
+        scans = []
+        fast = PcapReader._iter_fast
+
+        def spy(self, *args):
+            scans.append(self)
+            return fast(self, *args)
+
+        monkeypatch.setattr(PcapReader, "_iter_fast", spy)
+        analyze_payload(clean_blob, reference=True)
+        assert not scans
+        analyze_payload(clean_blob)
+        assert scans
 
     def test_clean_capture_all_knob_combinations(self, clean_blob):
-        reference = analyze_payload(
-            clean_blob, mmap=False, series_backend="python"
-        )
+        reference = analyze_payload(clean_blob, reference=True)
         assert reference["connections"], "corpus produced no analyses"
-        for knobs in (
-            {},
-            {"mmap": True},
-            {"decode_batch": 1},
-            {"decode_batch": 7},
-            {"series_backend": "auto"},
-            {"streaming": True},
-        ):
+        for knobs in ({}, {"streaming": True}):
             assert analyze_payload(clean_blob, **knobs) == reference, knobs
 
     @pytest.mark.parametrize("operator", sorted(OPERATORS))
@@ -86,27 +100,34 @@ class TestAnalyzeDifferential:
         """
         blob = mangle(clean_blob, [operator], seed=seed)
         fast = analyze_payload(blob)
-        reference = analyze_payload(blob, mmap=False, series_backend="python")
+        reference = analyze_payload(blob, reference=True)
         assert fast == reference
 
     def test_truncated_mid_record(self, clean_blob):
         cut = clean_blob[: len(clean_blob) - 11]
-        assert analyze_payload(cut) == analyze_payload(cut, mmap=False)
+        assert analyze_payload(cut) == analyze_payload(cut, reference=True)
 
     def test_nanosecond_magic(self, clean_blob):
         records, _ = read_outcome(clean_blob)
         nano = records_to_bytes(records, nanosecond=True)
-        assert analyze_payload(nano) == analyze_payload(nano, mmap=False)
+        assert analyze_payload(nano) == analyze_payload(nano, reference=True)
 
 
 class TestReaderDifferential:
     """Record-level identity of the batched scanner vs. streaming reads."""
 
     def test_clean_blob_records_and_health(self, clean_blob):
-        fast_records, fast_health = read_outcome(clean_blob)
         ref_records, ref_health = read_outcome(clean_blob, mmap=False)
-        assert fast_records == ref_records
-        assert fast_health == ref_health
+        assert ref_records
+        for knobs in (
+            {},
+            {"mmap": True},
+            {"decode_batch": 1},
+            {"decode_batch": 7},
+        ):
+            fast_records, fast_health = read_outcome(clean_blob, **knobs)
+            assert fast_records == ref_records, knobs
+            assert fast_health == ref_health, knobs
 
     @given(
         sizes=st.lists(st.integers(min_value=0, max_value=120), max_size=12),
@@ -224,72 +245,3 @@ def _damage_corpus() -> list[bytes]:
 
 _DAMAGE_CORPUS = _damage_corpus()
 
-
-def _busy_connection(events: int = 600):
-    """A connection with same-instant events and interleaved ACKs."""
-    builder = TraceBuilder().handshake()
-    t = 20_000
-    seq = 0
-    for i in range(events):
-        builder.data(t, seq, 100)
-        seq += 100
-        if i % 3 == 0:
-            # Same-instant ACK: exercises the last-of-instant collapse.
-            builder.ack(t, seq - 100)
-        else:
-            builder.ack(t + 40, seq - 100)
-        t += 75
-    builder.ack(t + 500, seq)
-    return builder.build()
-
-
-@pytest.mark.skipif(not series_np.AVAILABLE, reason="numpy not installed")
-class TestSeriesBackendDifferential:
-    """Forced numpy backend vs. the pure-python reference walk."""
-
-    def _series_view(self, connection, backend):
-        series = generate_series(
-            connection, config=SeriesConfig(series_backend=backend)
-        )
-        return {
-            "outstanding": series.outstanding.samples(),
-            "ranges": {
-                name: [(r.start, r.end) for r in entry.ranges]
-                for name, entry in series.catalog._series.items()
-            },
-        }
-
-    def test_busy_connection_identical(self):
-        connection = _busy_connection()
-        assert self._series_view(connection, "numpy") == self._series_view(
-            connection, "python"
-        )
-
-    def test_corpus_connections_identical(self, clean_blob):
-        from repro.analysis.profile import Trace
-
-        trace = Trace.from_pcap(io.BytesIO(clean_blob), tolerant=True)
-        checked = 0
-        for connection in trace:
-            if connection.profile is None:
-                continue
-            assert self._series_view(
-                connection, "numpy"
-            ) == self._series_view(connection, "python")
-            checked += 1
-        assert checked
-
-    def test_auto_threshold_picks_python_for_small(self):
-        from repro.analysis.series import AUTO_MIN_EVENTS, _resolve_backend
-
-        assert _resolve_backend("auto", AUTO_MIN_EVENTS - 1) is None
-        assert _resolve_backend("auto", AUTO_MIN_EVENTS) is series_np
-        assert _resolve_backend("python", 10**9) is None
-        assert _resolve_backend("numpy", 1) is series_np
-
-
-def test_unknown_backend_rejected():
-    from repro.analysis.series import _resolve_backend
-
-    with pytest.raises(ValueError, match="series_backend"):
-        _resolve_backend("fortran", 10)

@@ -48,10 +48,13 @@ class TestBasics:
         with running_server() as client:
             status, payload = client.json("POST", "/sessions", b"not json")
             assert status == 400 and "bad session spec" in payload["error"]
-            status, payload = client.json(
-                "POST", "/sessions", json.dumps({"bogus_knob": 1}).encode()
-            )
-            assert status == 400 and "bogus_knob" in payload["error"]
+            # A removed option is rejected like any unknown one.
+            for spec in ({"bogus_knob": 1}, {"series_backend": "python"}):
+                status, payload = client.json(
+                    "POST", "/sessions", json.dumps(spec).encode()
+                )
+                (option,) = spec
+                assert status == 400 and option in payload["error"]
             status, payload = client.json(
                 "POST",
                 "/sessions",

@@ -1,6 +1,6 @@
-"""Error handling for every CLI entry point: one-line errors, exit codes.
+"""Error handling for the ``tdat`` subcommands: one-line errors, exit codes.
 
-Each of the five mains must turn operational mishaps — missing files,
+Each file-reading subcommand must turn operational mishaps — missing files,
 non-pcap input, damaged captures — into a single diagnostic line on
 stderr and a nonzero exit status, never a traceback.
 """
@@ -10,17 +10,23 @@ import struct
 import pytest
 
 from repro.faults.fuzz import clean_trace_bytes
-from repro.tools import cli
+from repro.tools.tdat_cli import (
+    EXIT_ERROR,
+    EXIT_ISSUES,
+    EXIT_NOTHING,
+    EXIT_OK,
+    main,
+)
 from repro.wire.pcap import GLOBAL_HEADER, RECORD_HEADER
 
 MISSING = "/nonexistent/trace.pcap"
 
 ENTRY_POINTS = [
-    ("tdat", cli.tdat_main, [MISSING]),
-    ("pcap2bgp", cli.pcap2bgp_main, [MISSING, "/tmp/out.mrt"]),
-    ("tcptrace", cli.tcptrace_main, [MISSING]),
-    ("pcap-anonymize", cli.anonymize_main, [MISSING, "/tmp/out.pcap", "--key", "k"]),
-    ("bgplot", cli.bgplot_main, [MISSING]),
+    ("tdat", ["analyze", MISSING]),
+    ("pcap2bgp", ["pcap2bgp", MISSING, "/tmp/out.mrt"]),
+    ("tcptrace", ["tcptrace", MISSING]),
+    ("pcap-anonymize", ["anonymize", MISSING, "/tmp/out.pcap", "--key", "k"]),
+    ("bgplot", ["bgplot", MISSING]),
 ]
 
 
@@ -47,12 +53,12 @@ def damaged_pcap(tmp_path_factory):
 
 
 class TestMissingFile:
-    @pytest.mark.parametrize("prog,main,argv", ENTRY_POINTS,
+    @pytest.mark.parametrize("prog,argv", ENTRY_POINTS,
                              ids=[e[0] for e in ENTRY_POINTS])
-    def test_missing_file_one_line_error(self, prog, main, argv, capsys):
+    def test_missing_file_one_line_error(self, prog, argv, capsys):
         rc = main(argv)
         err = capsys.readouterr().err
-        assert rc == cli.EXIT_ERROR
+        assert rc == EXIT_ERROR
         assert err.count("\n") == 1
         assert "error: no such file" in err
         assert "Traceback" not in err
@@ -60,57 +66,57 @@ class TestMissingFile:
 
 class TestBadInput:
     def test_tdat_directory_argument(self, tmp_path, capsys):
-        rc = cli.tdat_main([str(tmp_path)])
+        rc = main(["analyze", str(tmp_path)])
         err = capsys.readouterr().err
-        assert rc == cli.EXIT_ERROR
+        assert rc == EXIT_ERROR
         assert "is a directory" in err
 
     def test_tdat_strict_rejects_junk(self, tmp_path, capsys):
         junk = tmp_path / "junk.pcap"
         junk.write_bytes(b"this is not a pcap file at all, not even close")
-        rc = cli.tdat_main([str(junk), "--strict"])
+        rc = main(["analyze", str(junk), "--strict"])
         err = capsys.readouterr().err
-        assert rc == cli.EXIT_ERROR
+        assert rc == EXIT_ERROR
         assert "unrecognized pcap magic" in err
         assert "Traceback" not in err
 
     def test_tdat_tolerant_junk_is_empty_not_fatal(self, tmp_path, capsys):
         junk = tmp_path / "junk.pcap"
         junk.write_bytes(b"this is not a pcap file at all, not even close")
-        rc = cli.tdat_main([str(junk)])
+        rc = main(["analyze", str(junk)])
         err = capsys.readouterr().err
-        assert rc == cli.EXIT_NOTHING
+        assert rc == EXIT_NOTHING
         assert "bad-magic" in err
         assert "no analyzable TCP connections" in err
 
     def test_tcptrace_rejects_junk(self, tmp_path, capsys):
         junk = tmp_path / "junk.pcap"
         junk.write_bytes(b"\x00" * 64)
-        rc = cli.tcptrace_main([str(junk)])
+        rc = main(["tcptrace", str(junk)])
         err = capsys.readouterr().err
-        assert rc == cli.EXIT_ERROR
+        assert rc == EXIT_ERROR
         assert err.count("\n") == 1
 
     def test_pcap2bgp_rejects_junk(self, tmp_path, capsys):
         junk = tmp_path / "junk.pcap"
         junk.write_bytes(b"\x00" * 64)
-        rc = cli.pcap2bgp_main([str(junk), str(tmp_path / "out.mrt")])
-        assert rc == cli.EXIT_ERROR
+        rc = main(["pcap2bgp", str(junk), str(tmp_path / "out.mrt")])
+        assert rc == EXIT_ERROR
 
     def test_anonymize_rejects_junk(self, tmp_path, capsys):
         junk = tmp_path / "junk.pcap"
         junk.write_bytes(b"\x00" * 64)
-        rc = cli.anonymize_main(
-            [str(junk), str(tmp_path / "out.pcap"), "--key", "k"]
+        rc = main(
+            ["anonymize", str(junk), str(tmp_path / "out.pcap"), "--key", "k"]
         )
-        assert rc == cli.EXIT_ERROR
+        assert rc == EXIT_ERROR
 
 
 class TestDamagedCapture:
     def test_tdat_reports_issues_with_exit_3(self, damaged_pcap, capsys):
-        rc = cli.tdat_main([str(damaged_pcap)])
+        rc = main(["analyze", str(damaged_pcap)])
         captured = capsys.readouterr()
-        assert rc == cli.EXIT_ISSUES
+        assert rc == EXIT_ISSUES
         assert "major factors" in captured.out  # analysis still produced
         assert "trace health:" in captured.err
         assert "bad-record-header" in captured.err
@@ -118,15 +124,15 @@ class TestDamagedCapture:
     def test_tdat_json_carries_health(self, damaged_pcap, capsys):
         import json
 
-        rc = cli.tdat_main([str(damaged_pcap), "--json"])
+        rc = main(["analyze", str(damaged_pcap), "--json"])
         payload = json.loads(capsys.readouterr().out)
-        assert rc == cli.EXIT_ISSUES
+        assert rc == EXIT_ISSUES
         assert payload["health"]["ok"] is False
         assert payload["health"]["issue_count"] >= 1
         assert payload["health"]["by_stage"].get("pcap", 0) >= 1
         assert len(payload["connections"]) == 1
 
     def test_clean_capture_still_exits_zero(self, clean_pcap, capsys):
-        rc = cli.tdat_main([str(clean_pcap)])
+        rc = main(["analyze", str(clean_pcap)])
         capsys.readouterr()
-        assert rc == cli.EXIT_OK
+        assert rc == EXIT_OK
