@@ -159,9 +159,11 @@ class BaseCollector:
     def _session_update(
         self, session: BgpSession, update: UpdateMessage, timestamp_us: int
     ) -> None:
-        for prefix in update.announced:
-            if update.attributes is not None:
-                self.rib.add(Route(prefix, update.attributes))
+        attributes = update.attributes
+        if attributes is not None:
+            add = self.rib.add
+            for prefix in update.announced:
+                add(Route(prefix, attributes))
         for prefix in update.withdrawn:
             self.rib.withdraw(prefix)
         if self.archives_mrt:

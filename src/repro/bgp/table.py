@@ -11,7 +11,8 @@ real routers emit them.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import accumulate
 
 from repro.bgp.attributes import PathAttributes
 from repro.bgp.messages import (
@@ -32,24 +33,31 @@ class Route:
 
 
 class Rib:
-    """A Routing Information Base keyed by prefix."""
+    """A Routing Information Base keyed by prefix.
+
+    The table's encoded transfer is cached (see :meth:`encoded_updates`)
+    and dropped by every :meth:`add` and :meth:`withdraw`.
+    """
 
     def __init__(self, routes: list[Route] | None = None) -> None:
-        self._routes: dict[str, Route] = {}
+        self._routes: dict[Prefix, Route] = {}
+        self._encoded: tuple[bytes, ...] | None = None
         for route in routes or ():
             self.add(route)
 
     def add(self, route: Route) -> None:
         """Insert or replace the route for its prefix."""
-        self._routes[str(route.prefix)] = route
+        self._routes[route.prefix] = route
+        self._encoded = None
 
     def withdraw(self, prefix: Prefix) -> Route | None:
         """Remove and return the route for ``prefix`` if present."""
-        return self._routes.pop(str(prefix), None)
+        self._encoded = None
+        return self._routes.pop(prefix, None)
 
     def lookup(self, prefix: Prefix) -> Route | None:
         """Exact-match lookup."""
-        return self._routes.get(str(prefix))
+        return self._routes.get(prefix)
 
     def __len__(self) -> int:
         return len(self._routes)
@@ -58,7 +66,7 @@ class Rib:
         return iter(self._routes.values())
 
     def __contains__(self, prefix: Prefix) -> bool:
-        return str(prefix) in self._routes
+        return prefix in self._routes
 
     def prefixes(self) -> list[Prefix]:
         """All prefixes, in insertion order."""
@@ -93,9 +101,21 @@ class Rib:
                 updates.append(UpdateMessage(tuple(current), attributes))
         return updates
 
+    def encoded_updates(self) -> tuple[bytes, ...]:
+        """The full-table transfer as encoded UPDATE messages.
+
+        Encoded on first use and kept until the table next changes, so
+        every episode that announces a shared table sends the same
+        bytes without re-encoding them.  The cache belongs to this
+        ``Rib`` alone: two tables with equal routes encode separately.
+        """
+        if self._encoded is None:
+            self._encoded = tuple(encode_message(u) for u in self.to_updates())
+        return self._encoded
+
     def wire_size(self) -> int:
         """Total encoded size of the table transfer in bytes."""
-        return sum(len(encode_message(u)) for u in self.to_updates())
+        return sum(map(len, self.encoded_updates()))
 
 
 # Observed prefix-length mix of the 2010-era global table (approximate).
@@ -139,24 +159,25 @@ def generate_table(
     if attribute_groups is None:
         attribute_groups = max(1, size // 60)
     lengths, weights = zip(*_PREFIX_LENGTH_WEIGHTS)
+    # What ``choices(lengths, weights)`` computes on every call; passing
+    # it precomputed leaves the draws unchanged.
+    cum_weights = list(accumulate(weights))
     attribute_sets = [
         _random_attributes(rng, next_hop, asn_pool, wide_asn_fraction)
         for _ in range(attribute_groups)
     ]
     rib = Rib()
-    seen: set[str] = set()
     while len(rib) < size:
-        length = rng.choices(lengths, weights)[0]
-        prefix = _random_prefix(rng, length)
-        if str(prefix) in seen:
+        length = rng.choices(lengths, cum_weights=cum_weights)[0]
+        prefix = Prefix.from_int(_random_address(rng, length), length)
+        if prefix in rib:
             continue
-        seen.add(str(prefix))
         attributes = rng.choice(attribute_sets)
         rib.add(Route(prefix, attributes))
     return rib
 
 
-def _random_prefix(rng: random.Random, length: int) -> Prefix:
+def _random_address(rng: random.Random, length: int) -> int:
     address = rng.getrandbits(32)
     mask = (0xFFFFFFFF << (32 - length)) & 0xFFFFFFFF if length else 0
     address &= mask
@@ -164,8 +185,7 @@ def _random_prefix(rng: random.Random, length: int) -> Prefix:
     first_octet = (address >> 24) & 0xFF
     if first_octet in (0, 10, 127) or first_octet >= 224:
         address = (address & 0x00FFFFFF) | (unicast_octet(rng) << 24)
-    octets = [(address >> shift) & 0xFF for shift in (24, 16, 8, 0)]
-    return Prefix(".".join(map(str, octets)), length)
+    return address
 
 
 def unicast_octet(rng: random.Random) -> int:

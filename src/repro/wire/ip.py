@@ -21,17 +21,22 @@ class IpError(ValueError):
 
 
 def ip_to_bytes(ip: str) -> bytes:
-    """Dotted-quad string to 4 network-order bytes."""
+    """Dotted-quad string to 4 network-order bytes.
+
+    Each octet is 1-3 ASCII digits: ``int()`` alone would also take
+    ``"1_0"``, ``" 10"``, ``"+10"`` or non-ASCII digits, giving one
+    address several spellings.
+    """
     parts = ip.split(".")
-    if len(parts) != 4:
+    if len(parts) != 4 or not ip.isascii():
         raise IpError(f"bad IPv4 address {ip!r}")
+    for part in parts:
+        if not (part.isdigit() and len(part) <= 3):
+            raise IpError(f"bad IPv4 address {ip!r}")
     try:
-        octets = [int(p) for p in parts]
-    except ValueError as exc:
-        raise IpError(f"bad IPv4 address {ip!r}") from exc
-    if not all(0 <= o <= 255 for o in octets):
-        raise IpError(f"bad IPv4 address {ip!r}")
-    return bytes(octets)
+        return bytes(map(int, parts))
+    except ValueError:  # an octet above 255
+        raise IpError(f"bad IPv4 address {ip!r}") from None
 
 
 # Captures see the same handful of endpoints millions of times; cache

@@ -1,5 +1,6 @@
 """Unit tests for BGP message and attribute codecs."""
 
+import pickle
 import random
 
 import pytest
@@ -26,6 +27,24 @@ from repro.bgp.messages import (
     decode_prefixes,
     encode_message,
 )
+from repro.wire.ip import IpError
+
+
+@st.composite
+def wire_prefixes(draw):
+    """Prefixes whose address fits their NLRI bytes, host bits and all."""
+    length = draw(st.integers(min_value=0, max_value=32))
+    nbytes = (length + 7) // 8
+    address = draw(st.integers(min_value=0, max_value=(1 << 8 * nbytes) - 1))
+    return Prefix.from_int(address << 8 * (4 - nbytes), length)
+
+
+addresses = st.integers(min_value=0, max_value=0xFFFFFFFF)
+lengths = st.integers(min_value=0, max_value=32)
+
+
+def dotted(address):
+    return ".".join(str(address >> shift & 0xFF) for shift in (24, 16, 8, 0))
 
 
 class TestPrefix:
@@ -59,6 +78,54 @@ class TestPrefix:
     def test_decode_bad_length(self):
         with pytest.raises(BgpError):
             decode_prefixes(b"\x40\x01")
+
+    def test_host_bits_in_last_partial_byte_survive(self):
+        prefix = Prefix("10.1.0.0", 9)
+        assert prefix.encode() == b"\x09\x0a\x01"
+        assert decode_prefixes(prefix.encode()) == [prefix]
+        assert prefix != Prefix("10.0.0.0", 9)
+
+    @given(st.lists(wire_prefixes(), max_size=40))
+    def test_decode_roundtrip_property(self, prefixes):
+        blob = b"".join(p.encode() for p in prefixes)
+        assert decode_prefixes(blob) == prefixes
+
+    @given(addresses, lengths)
+    def test_text_and_parse_agree(self, address, length):
+        text = dotted(address)
+        prefix = Prefix(text, length)
+        parsed = Prefix.parse(f"{text}/{length}")
+        assert prefix == parsed
+        assert hash(prefix) == hash(parsed)
+        assert (prefix.address, prefix.network, prefix.length) == (
+            address, text, length,
+        )
+        assert str(prefix) == f"{text}/{length}"
+        assert repr(prefix) == f"Prefix(network='{text}', length={length})"
+
+    @given(addresses, lengths)
+    def test_pickle_roundtrip(self, address, length):
+        prefix = Prefix.from_int(address, length)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            clone = pickle.loads(pickle.dumps(prefix, protocol))
+            assert type(clone) is Prefix
+            assert clone == prefix and str(clone) == str(prefix)
+
+    @pytest.mark.parametrize(
+        "build,error",
+        [
+            (lambda: Prefix.parse("10.0.0.0/33"), BgpError),
+            (lambda: Prefix("10.0.0.0", -1), BgpError),
+            (lambda: Prefix.from_int(1 << 32, 8), BgpError),
+            (lambda: Prefix("10.0.0", 8), IpError),
+            (lambda: Prefix("10.0.0.256", 24), IpError),
+            (lambda: Prefix("1_0.0.0.0", 8), IpError),
+            (lambda: Prefix.parse("+10.0.0.0/8"), IpError),
+        ],
+    )
+    def test_malformed_rejected(self, build, error):
+        with pytest.raises(error):
+            build()
 
 
 class TestPathAttributes:

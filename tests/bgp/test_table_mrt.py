@@ -85,6 +85,24 @@ class TestRib:
         rib = generate_table(100, random.Random(1))
         assert rib.wire_size() > 100 * 4
 
+    def test_encoded_updates_follow_every_change(self):
+        rib = generate_table(300, random.Random(2))
+
+        def fresh():
+            return tuple(encode_message(u) for u in rib.to_updates())
+
+        assert rib.encoded_updates() == fresh()
+        assert rib.encoded_updates() is rib.encoded_updates()
+        rib.add(self.route("192.0.2.0/24", path=(64500,)))
+        assert rib.encoded_updates() == fresh()
+        rib.withdraw(Prefix("192.0.2.0", 24))
+        assert rib.encoded_updates() == fresh()
+        first = rib.prefixes()[0]
+        rib.add(self.route(str(first), path=(64501, 64502)))
+        assert rib.lookup(first).attributes.path_asns() == (64501, 64502)
+        assert rib.encoded_updates() == fresh()
+        assert rib.wire_size() == sum(map(len, fresh()))
+
 
 class TestGenerateTable:
     def test_exact_size_and_uniqueness(self):

@@ -81,6 +81,16 @@ class TestIpv4:
         with pytest.raises(ip.IpError):
             ip.ip_to_bytes("a.b.c.d")
 
+    @pytest.mark.parametrize(
+        "text",
+        ["1_0.0.0.1", " 10.0.0.1", "+10.0.0.1", "١٠.0.0.1", "1.2.3.0001"],
+    )
+    def test_ip_string_rejects_non_digit_octets(self, text):
+        # int() accepts each of these octets; all would alias 10.0.0.1
+        # (or 1.2.3.1), giving one address several spellings.
+        with pytest.raises(ip.IpError):
+            ip.ip_to_bytes(text)
+
     def test_checksum_rfc1071(self):
         # Known vector: checksum of this data equals 0xddf2 (RFC 1071 example).
         data = bytes([0x00, 0x01, 0xF2, 0x03, 0xF4, 0xF5, 0xF6, 0xF7])
