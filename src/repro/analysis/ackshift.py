@@ -60,7 +60,9 @@ def shift_acks(
 
     data = connection.data_packets()
     data_times = [p.timestamp_us for p in data]
-    data_ends = [connection.relative_seq(p) + p.payload_len for p in data]
+    data_ends = [
+        seq + p.payload_len for p, seq in zip(data, connection.data_seqs())
+    ]
     acks = connection.ack_packets()
 
     # Right edge (ack + window) in effect *before* each ACK: the data a
@@ -68,9 +70,9 @@ def shift_acks(
     # is the [16]-style estimate that survives pipelined flows.
     edges_before: list[int] = []
     edge = 0
-    for ack in acks:
+    for ack, value in zip(acks, connection.ack_values()):
         edges_before.append(edge)
-        edge = max(edge, connection.relative_ack(ack) + ack.window)
+        edge = max(edge, value + ack.window)
 
     fallback = profile.d2_us if 0 < profile.d2_us <= max_reasonable_shift_us else None
 

@@ -24,23 +24,30 @@ def group_flights(
     A gap of more than ``gap_threshold_us`` between consecutive packets
     starts a new flight.
     """
+    bounds = flight_starts(
+        [packet.timestamp_us for packet in packets], gap_threshold_us
+    )
+    return [
+        packets[start:stop]
+        for start, stop in zip(bounds, bounds[1:] + [len(packets)])
+    ]
+
+
+def flight_starts(times: list[int], gap_threshold_us: int) -> list[int]:
+    """The index of each flight's first packet, for packet ``times``.
+
+    The index form of :func:`group_flights`: flight ``k`` is
+    ``times[starts[k]:starts[k + 1]]``.  Empty input has no flights.
+    """
     if gap_threshold_us <= 0:
         raise ValueError(f"non-positive threshold {gap_threshold_us}")
-    flights: list[list[TracePacket]] = []
-    current: list[TracePacket] = []
-    previous_time: int | None = None
-    for packet in packets:
-        if (
-            previous_time is not None
-            and packet.timestamp_us - previous_time > gap_threshold_us
-        ):
-            flights.append(current)
-            current = []
-        current.append(packet)
-        previous_time = packet.timestamp_us
-    if current:
-        flights.append(current)
-    return flights
+    if not times:
+        return []
+    starts = [0]
+    for index in range(1, len(times)):
+        if times[index] - times[index - 1] > gap_threshold_us:
+            starts.append(index)
+    return starts
 
 
 def flight_spans(

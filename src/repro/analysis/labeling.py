@@ -72,9 +72,8 @@ class LabelingResult:
 def label_connection(connection: Connection) -> LabelingResult:
     """Classify every data packet of the connection's data direction."""
     data = connection.data_packets()
-    acks = connection.ack_packets()
-    ack_times = [a.timestamp_us for a in acks]
-    ack_values = [connection.relative_ack(a) for a in acks]
+    ack_times = [a.timestamp_us for a in connection.ack_packets()]
+    ack_values = connection.ack_values()
 
     labels: list[PacketLabel] = []
     seen = TimeRangeSet()  # sequence-space coverage
@@ -86,11 +85,13 @@ def label_connection(connection: Connection) -> LabelingResult:
     max_end_time = 0  # when max_seq_end was reached
     max_end_ip_id = 0
 
-    for packet in data:
-        seq = connection.relative_seq(packet)
+    for packet, seq in zip(data, connection.data_seqs()):
         end = seq + packet.payload_len
         if end <= max_seq_end:
-            already = seen.intersection(TimeRangeSet([(seq, end)])).size()
+            already = sum(
+                min(r.end, end) - max(r.start, seq)
+                for r in seen.overlapping(seq, end)
+            )
             if already >= packet.payload_len:
                 kind = KIND_DOWNSTREAM
                 trigger = first_seen_time.get(seq, packet.timestamp_us)

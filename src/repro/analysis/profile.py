@@ -18,7 +18,7 @@ import statistics
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import BinaryIO
+from typing import BinaryIO, NamedTuple
 
 from repro.analysis.budget import POLICY_FINALIZE_IDLE, StateLedger
 from repro.bgp.messages import HEADER_LEN as BGP_HEADER_LEN
@@ -31,7 +31,7 @@ from repro.wire.tcpw import ACK, FIN, RST, SYN
 FlowKey = tuple[str, int, str, int]
 
 
-@dataclass
+@dataclass(slots=True)
 class TracePacket:
     """One captured TCP segment, flattened for analysis."""
 
@@ -120,6 +120,15 @@ class ConnectionProfile:
         return self.end_time_us - self.start_time_us
 
 
+class _Partition(NamedTuple):
+    """A connection's data and ACK packets with their sequence columns."""
+
+    data: list[TracePacket]
+    seqs: list[int]
+    acks: list[TracePacket]
+    ack_values: list[int]
+
+
 class Connection:
     """One TCP connection: both directions plus derived profile.
 
@@ -138,11 +147,15 @@ class Connection:
         # packet record (shed data or early finalization before close):
         # the derived profile and analysis rest on partial state.
         self.complete = True
+        # The data/ACK partition and its sequence columns, computed
+        # once per packet record (see _columns).
+        self._partition: _Partition | None = None
 
     def add(self, packet: TracePacket) -> None:
         """Append a packet (records must arrive in timestamp order)."""
         self.packets.append(packet)
-        if packet.is_syn:
+        self._partition = None
+        if packet.flags & SYN:
             self._isn[packet.src_ip] = packet.seq
 
     # ------------------------------------------------------------------
@@ -150,6 +163,7 @@ class Connection:
     # ------------------------------------------------------------------
     def finalize(self) -> None:
         """Determine the data direction and compute the profile."""
+        self._partition = None
         bytes_by_src: dict[str, int] = {}
         for packet in self.packets:
             bytes_by_src[packet.src_ip] = (
@@ -185,57 +199,99 @@ class Connection:
         return dst if self.sender_ip == src else src
 
     def data_packets(self) -> list[TracePacket]:
-        """Sender-to-receiver segments that carry payload."""
-        return [
-            p
-            for p in self.packets
-            if p.src_ip == self.sender_ip and p.payload_len > 0
-        ]
+        """Sender-to-receiver segments that carry payload.
+
+        The list is computed once per packet record and shared between
+        callers: read it, do not modify it.
+        """
+        return self._columns().data
 
     def ack_packets(self) -> list[TracePacket]:
-        """Receiver-to-sender segments bearing the ACK flag."""
-        return [
-            p
-            for p in self.packets
-            if p.src_ip != self.sender_ip and p.flags & ACK and not p.is_syn
-        ]
+        """Receiver-to-sender segments bearing the ACK flag (shared, as
+        :meth:`data_packets`)."""
+        return self._columns().acks
+
+    def data_seqs(self) -> list[int]:
+        """:meth:`relative_seq` of every data packet, in the same order."""
+        return self._columns().seqs
+
+    def ack_values(self) -> list[int]:
+        """:meth:`relative_ack` of every ACK packet, in the same order."""
+        return self._columns().ack_values
+
+    def _columns(self) -> "_Partition":
+        partition = self._partition
+        if partition is None:
+            partition = self._partition = self._build_partition()
+        return partition
+
+    def _build_partition(self) -> "_Partition":
+        sender = self.sender_ip
+        data: list[TracePacket] = []
+        acks: list[TracePacket] = []
+        for packet in self.packets:
+            if packet.src_ip == sender:
+                if packet.payload_len > 0:
+                    data.append(packet)
+            elif packet.flags & ACK and not packet.flags & SYN:
+                acks.append(packet)
+        seqs: list[int] = []
+        if data:
+            isn = self._isn_of(sender, data[0].seq - 1) + 1
+            seqs = [(p.seq - isn) & 0xFFFFFFFF for p in data]
+        ack_values: list[int] = []
+        if acks:
+            # Each ACK acknowledges the stream of the other endpoint.
+            src, _, dst, _ = self.key
+            isns: dict[str, int] = {}
+            for ack in acks:
+                other = dst if ack.src_ip == src else src
+                isn = isns.get(other)
+                if isn is None:
+                    isn = isns[other] = self._isn_of(other, ack.ack - 1) + 1
+                ack_values.append((ack.ack - isn) & 0xFFFFFFFF)
+        return _Partition(data, seqs, acks, ack_values)
+
+    def _isn_of(self, ip: str, fallback: int) -> int:
+        """The initial sequence number of ``ip``'s stream.
+
+        The SYN's, when the capture holds one; otherwise one less than
+        the first sequence number ``ip`` sent (``fallback`` if it sent
+        nothing).  Cached on first use.
+        """
+        isn = self._isn.get(ip)
+        if isn is None:
+            first = next((p for p in self.packets if p.src_ip == ip), None)
+            isn = first.seq - 1 if first is not None else fallback
+            self._isn[ip] = isn
+        return isn
 
     def relative_seq(self, packet: TracePacket) -> int:
         """Sequence relative to the data stream (0 == first data byte)."""
-        isn = self._isn.get(packet.src_ip)
-        if isn is None:
-            first = next(
-                (p for p in self.packets if p.src_ip == packet.src_ip), None
-            )
-            isn = first.seq - 1 if first is not None else packet.seq - 1
-            self._isn[packet.src_ip] = isn
+        isn = self._isn_of(packet.src_ip, packet.seq - 1)
         return (packet.seq - isn - 1) & 0xFFFFFFFF
 
     def relative_ack(self, packet: TracePacket) -> int:
         """ACK number relative to the opposite direction's stream."""
         src, _, dst, _ = self.key
         other = dst if packet.src_ip == src else src
-        isn = self._isn.get(other)
-        if isn is None:
-            first = next(
-                (p for p in self.packets if p.src_ip == other), None
-            )
-            isn = first.seq - 1 if first is not None else packet.ack - 1
-            self._isn[other] = isn
+        isn = self._isn_of(other, packet.ack - 1)
         return (packet.ack - isn - 1) & 0xFFFFFFFF
 
     # ------------------------------------------------------------------
     # Profile derivation
     # ------------------------------------------------------------------
     def _build_profile(self) -> ConnectionProfile:
-        data = self.data_packets()
-        acks = self.ack_packets()
+        data, seqs, acks, ack_values = self._columns()
         mss = self._estimate_mss(data)
-        d1 = self._estimate_d1(data, acks)
+        d1 = _estimate_d1(data, seqs, acks, ack_values)
         d2 = self._estimate_d2_handshake()
         if d2 is None:
             d2 = self._estimate_d2(data, acks)
         max_window = max((p.window for p in acks), default=0)
+        seen_flags = 0
+        for packet in self.packets:
+            seen_flags |= packet.flags
         return ConnectionProfile(
             mss=mss,
             rtt_us=d1 + d2,
@@ -247,9 +303,9 @@ class Connection:
             total_data_bytes=sum(p.payload_len for p in data),
             total_data_packets=len(data),
             total_ack_packets=len(acks),
-            saw_syn=any(p.is_syn for p in self.packets),
-            saw_fin=any(p.is_fin for p in self.packets),
-            saw_rst=any(p.is_rst for p in self.packets),
+            saw_syn=bool(seen_flags & SYN),
+            saw_fin=bool(seen_flags & FIN),
+            saw_rst=bool(seen_flags & RST),
         )
 
     def _estimate_mss(self, data: list[TracePacket]) -> int:
@@ -259,30 +315,6 @@ class Connection:
                 if parsed_mss:
                     return parsed_mss
         return max((p.payload_len for p in data), default=536)
-
-    def _estimate_d1(
-        self, data: list[TracePacket], acks: list[TracePacket]
-    ) -> int:
-        """Tap -> receiver -> tap delay: data seen to its exact ACK seen."""
-        samples = []
-        ack_iter = iter(acks)
-        current_ack = next(ack_iter, None)
-        for packet in data:
-            target = self.relative_seq(packet) + packet.payload_len
-            while current_ack is not None and (
-                current_ack.timestamp_us < packet.timestamp_us
-                or self.relative_ack(current_ack) < target
-            ):
-                current_ack = next(ack_iter, None)
-            if current_ack is None:
-                break
-            if self.relative_ack(current_ack) == target:
-                samples.append(current_ack.timestamp_us - packet.timestamp_us)
-            if len(samples) >= 200:
-                break
-        if not samples:
-            return 0
-        return int(statistics.median(samples))
 
     def _estimate_d2_handshake(self) -> int | None:
         """Sender-side roundtrip from the three-way handshake at the tap.
@@ -341,6 +373,34 @@ class Connection:
         if not positive:
             return 0
         return min(positive)
+
+
+def _estimate_d1(
+    data: list[TracePacket],
+    seqs: list[int],
+    acks: list[TracePacket],
+    ack_values: list[int],
+) -> int:
+    """Tap -> receiver -> tap delay: data seen to its exact ACK seen."""
+    samples = []
+    count = len(acks)
+    j = 0
+    for packet, seq in zip(data, seqs):
+        target = seq + packet.payload_len
+        while j < count and (
+            acks[j].timestamp_us < packet.timestamp_us
+            or ack_values[j] < target
+        ):
+            j += 1
+        if j == count:
+            break
+        if ack_values[j] == target:
+            samples.append(acks[j].timestamp_us - packet.timestamp_us)
+        if len(samples) >= 200:
+            break
+    if not samples:
+        return 0
+    return int(statistics.median(samples))
 
 
 def infer_sniffer_location(
@@ -431,30 +491,6 @@ class Trace:
 
     def __iter__(self):
         return iter(self.connections.values())
-
-
-def _packet_from_record(
-    index: int, record: PcapRecord, parsed
-) -> TracePacket:
-    """Flatten one decoded frame into the analyzer's packet form."""
-    return TracePacket(
-        index=index,
-        timestamp_us=record.timestamp_us,
-        src_ip=parsed.ipv4.src,
-        src_port=parsed.tcp.src_port,
-        dst_ip=parsed.ipv4.dst,
-        dst_port=parsed.tcp.dst_port,
-        seq=parsed.tcp.seq,
-        ack=parsed.tcp.ack,
-        flags=parsed.tcp.flags,
-        window=parsed.tcp.window,
-        payload_len=len(parsed.tcp.payload),
-        wire_len=record.wire_length,
-        ip_id=parsed.ipv4.identification,
-        payload=parsed.tcp.payload,
-        mss_option=parsed.tcp.mss_option,
-        wscale_option=parsed.tcp.wscale_option,
-    )
 
 
 def _packet_from_fields(

@@ -26,8 +26,9 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
+from operator import itemgetter
 
-from repro.analysis.flights import flight_gap_threshold_us, group_flights
+from repro.analysis.flights import flight_gap_threshold_us, flight_starts
 from repro.analysis.labeling import (
     KIND_DOWNSTREAM,
     KIND_REORDERING,
@@ -126,9 +127,9 @@ class StepFunction:
         predicate starts holding and closes where it stops, which is
         exactly the coalescing the per-interval span adds used to do.
         """
-        result = TimeRangeSet()
         if end_us <= start_us:
-            return result
+            return TimeRangeSet()
+        runs: list[TimeRange] = []
         times = self._times
         values = self._values
         i = bisect.bisect_right(times, start_us)
@@ -143,11 +144,11 @@ class StepFunction:
                 if holds:
                     run_start = t
             elif not holds:
-                result.add_span(run_start, t)
+                runs.append(TimeRange(run_start, t))
                 run_start = None
         if run_start is not None:
-            result.add_span(run_start, end_us)
-        return result
+            runs.append(TimeRange(run_start, end_us))
+        return TimeRangeSet(runs)
 
     def samples(self) -> list[tuple[int, int]]:
         """The raw (time, value) samples."""
@@ -203,17 +204,15 @@ def generate_series(
     # ------------------------------------------------------------- #
     # Extraction                                                      #
     # ------------------------------------------------------------- #
-    transmission = TimeRangeSet()
-    for packet in data:
-        ser = max(1, round(packet.wire_len * byte_time))
-        transmission.add(
-            TimeRange(
-                packet.timestamp_us - ser,
-                packet.timestamp_us,
-                SeriesEventData(packets=1, bytes=packet.payload_len,
-                                refs=[packet.index]),
-            )
+    transmission = TimeRangeSet([
+        TimeRange(
+            packet.timestamp_us - max(1, round(packet.wire_len * byte_time)),
+            packet.timestamp_us,
+            SeriesEventData(packets=1, bytes=packet.payload_len,
+                            refs=[packet.index]),
         )
+        for packet in data
+    ])
     catalog.put(EventSeries("Transmission", transmission,
                             "time actually spent clocking data onto the wire"))
 
@@ -221,10 +220,10 @@ def generate_series(
     catalog.put(EventSeries("Outstanding", outstanding_set,
                             "periods with unacknowledged data in flight"))
 
-    ack_marks = TimeRangeSet()
-    for ack in acks:
-        t = ack.effective_time_us
-        ack_marks.add_span(t, t + 1)
+    ack_marks = TimeRangeSet(
+        TimeRange(t, t + 1)
+        for t in [ack.effective_time_us for ack in acks]
+    )
     catalog.put(EventSeries("AckArrivals", ack_marks, "ACK observation instants"))
 
     adv_fn = _advertised_window(acks)
@@ -251,15 +250,17 @@ def generate_series(
                             "recovery periods for losses upstream of the tap"))
     catalog.put(EventSeries("DownstreamLoss", downstream,
                             "recovery periods for losses downstream of the tap"))
-    catalog.put(EventSeries("AllLoss", upstream.union(downstream),
+    loss_union = upstream.union(downstream)
+    catalog.put(EventSeries("AllLoss", loss_union,
                             "all loss-recovery periods"))
     catalog.put(EventSeries("Reordering", reordering,
                             "in-network reordering (not loss)"))
 
-    keepalives = TimeRangeSet()
-    for packet in data:
-        if packet.is_bgp_keepalive():
-            keepalives.add_span(packet.timestamp_us, packet.timestamp_us + 1)
+    keepalives = TimeRangeSet([
+        TimeRange(packet.timestamp_us, packet.timestamp_us + 1)
+        for packet in data
+        if packet.is_bgp_keepalive()
+    ])
     catalog.put(EventSeries("KeepAlives", keepalives,
                             "BGP keepalive transmission instants"))
 
@@ -290,7 +291,6 @@ def generate_series(
     # ------------------------------------------------------------- #
     # Operation: per-flight-cycle constraint attribution              #
     # ------------------------------------------------------------- #
-    loss_union = upstream.union(downstream)
     # Window boundedness is evaluated continuously on the outstanding
     # and advertised-window step functions, which handles both discrete
     # flights and continuously ack-clocked periods.
@@ -313,9 +313,9 @@ def generate_series(
         connection, data, acks, profile.rtt_us,
         gap_threshold_us=max(threshold, 1_000),
     )
-    idle_raw = TimeRangeSet()
-    paced_raw = TimeRangeSet()
-    cwnd_eligible = TimeRangeSet()
+    idle_spans: list[TimeRange] = []
+    paced_spans: list[TimeRange] = []
+    cwnd_spans: list[TimeRange] = []
     for cycle in cycles:
         # The busy head of every cycle — transmission plus the wait for
         # its ACKs — is window territory (adv or cwnd decide there).
@@ -323,11 +323,11 @@ def generate_series(
             cycle.acked_us, cycle.end_us
         )
         if head_end > cycle.start_us:
-            cwnd_eligible.add_span(cycle.start_us, head_end)
+            cwnd_spans.append(TimeRange(cycle.start_us, head_end))
         if cycle.next_start_us is None:
             # The trailing quiet period after the final flight.
             if cycle.acked_us is not None and analysis.end > cycle.acked_us:
-                idle_raw.add_span(cycle.acked_us, analysis.end)
+                idle_spans.append(TimeRange(cycle.acked_us, analysis.end))
             continue
         gap = cycle.next_start_us - cycle.last_data_us
         if gap <= threshold:
@@ -348,15 +348,20 @@ def generate_series(
             # cycle-covering ACK or an earlier window-sliding one (the
             # delayed ACK of a flight's last odd segment arrives long
             # after the window has already slid open): window bound.
-            cwnd_eligible.add_span(cycle.start_us, cycle.next_start_us)
+            cwnd_spans.append(TimeRange(cycle.start_us, cycle.next_start_us))
         elif response is not None and response > threshold:
             # Idle after everything was acknowledged: the application.
-            idle_raw.add_span(cycle.acked_us, cycle.next_start_us)
+            idle_spans.append(TimeRange(cycle.acked_us, cycle.next_start_us))
         else:
             # Paused, then resumed *before* the ACKs arrived: the
             # application paces itself (a sender-side rate limit, which
             # the paper folds into SendAppLimited via [15]).
-            paced_raw.add_span(cycle.last_data_us, cycle.next_start_us)
+            paced_spans.append(
+                TimeRange(cycle.last_data_us, cycle.next_start_us)
+            )
+    idle_raw = TimeRangeSet(idle_spans)
+    paced_raw = TimeRangeSet(paced_spans)
+    cwnd_eligible = TimeRangeSet(cwnd_spans)
     cwd_bnd = (
         busy.intersection(cwnd_eligible)
         .difference(adv_bnd_raw)
@@ -484,10 +489,10 @@ def _bounded_ranges(
     open/close bookkeeping reproduces the coalescing that per-interval
     span adds over the sorted boundary union used to do.
     """
-    busy = TimeRangeSet()
-    adv_bound = TimeRangeSet()
     if end_us <= start_us:
-        return busy, adv_bound
+        return TimeRangeSet(), TimeRangeSet()
+    busy: list[TimeRange] = []
+    adv_bound: list[TimeRange] = []
     out_times, out_values = out_fn._times, out_fn._values
     adv_times, adv_values = adv_fn._times, adv_fn._values
     len_out, len_adv = len(out_times), len(adv_times)
@@ -511,14 +516,14 @@ def _bounded_ranges(
                 if adv_start is None:
                     adv_start = left
             elif adv_start is not None:
-                adv_bound.add_span(adv_start, left)
+                adv_bound.append(TimeRange(adv_start, left))
                 adv_start = None
         else:
             if busy_start is not None:
-                busy.add_span(busy_start, left)
+                busy.append(TimeRange(busy_start, left))
                 busy_start = None
             if adv_start is not None:
-                adv_bound.add_span(adv_start, left)
+                adv_bound.append(TimeRange(adv_start, left))
                 adv_start = None
         if right == end_us:
             break
@@ -530,10 +535,10 @@ def _bounded_ranges(
             j += 1
         left = right
     if busy_start is not None:
-        busy.add_span(busy_start, end_us)
+        busy.append(TimeRange(busy_start, end_us))
     if adv_start is not None:
-        adv_bound.add_span(adv_start, end_us)
-    return busy, adv_bound
+        adv_bound.append(TimeRange(adv_start, end_us))
+    return TimeRangeSet(busy), TimeRangeSet(adv_bound)
 
 
 def _outstanding(
@@ -541,33 +546,47 @@ def _outstanding(
     data: list[TracePacket],
     acks: list[TracePacket],
 ) -> tuple[StepFunction, TimeRangeSet]:
-    events: list[tuple[int, int, str, int]] = []
-    for packet in data:
-        end = connection.relative_seq(packet) + packet.payload_len
-        events.append((packet.timestamp_us, 0, "data", end))
-    for ack in acks:
-        events.append((ack.effective_time_us, 1, "ack", connection.relative_ack(ack)))
-    events.sort(key=lambda e: (e[0], e[1]))
+    # (time, 0 for data / 1 for an ACK, sequence value)
+    events: list[tuple[int, int, int]] = [
+        (packet.timestamp_us, 0, seq + packet.payload_len)
+        for packet, seq in zip(data, connection.data_seqs())
+    ]
+    events += [
+        (ack.effective_time_us, 1, value)
+        for ack, value in zip(acks, connection.ack_values())
+    ]
+    events.sort(key=_event_order)
     fn = StepFunction()
-    ranges = TimeRangeSet()
+    # Samples arrive time-ordered: append them directly, keeping the
+    # last value of equal times as StepFunction.add does.
+    times, values = fn._times, fn._values
+    spans: list[TimeRange] = []
     snd_max = 0
     acked = 0
     open_since: int | None = None
-    for time_us, _, kind, value in events:
-        if kind == "data":
-            snd_max = max(snd_max, value)
+    for time_us, is_ack, value in events:
+        if is_ack:
+            if value > acked:
+                acked = value
+        elif value > snd_max:
+            snd_max = value
+        outstanding = snd_max - acked if snd_max > acked else 0
+        if times and times[-1] == time_us:
+            values[-1] = outstanding
         else:
-            acked = max(acked, value)
-        outstanding = max(snd_max - acked, 0)
-        fn.add(time_us, outstanding)
+            times.append(time_us)
+            values.append(outstanding)
         if outstanding > 0 and open_since is None:
             open_since = time_us
         elif outstanding == 0 and open_since is not None:
-            ranges.add_span(open_since, time_us)
+            spans.append(TimeRange(open_since, time_us))
             open_since = None
     if open_since is not None and events:
-        ranges.add_span(open_since, events[-1][0] + 1)
-    return fn, ranges
+        spans.append(TimeRange(open_since, events[-1][0] + 1))
+    return fn, TimeRangeSet(spans)
+
+
+_event_order = itemgetter(0, 1)
 
 
 def _advertised_window(acks: list[TracePacket]) -> StepFunction:
@@ -580,13 +599,15 @@ def _advertised_window(acks: list[TracePacket]) -> StepFunction:
 def _loss_series(
     labeling: LabelingResult,
 ) -> tuple[TimeRangeSet, TimeRangeSet, TimeRangeSet]:
-    upstream = TimeRangeSet()
-    downstream = TimeRangeSet()
-    reordering = TimeRangeSet()
+    upstream: list[TimeRange] = []
+    downstream: list[TimeRange] = []
+    reordering: list[TimeRange] = []
     for label in labeling.labels:
         packet = label.packet
         if label.kind == KIND_REORDERING:
-            reordering.add_span(packet.timestamp_us, packet.timestamp_us + 1)
+            reordering.append(
+                TimeRange(packet.timestamp_us, packet.timestamp_us + 1)
+            )
             continue
         if not label.is_retransmission:
             continue
@@ -597,7 +618,7 @@ def _loss_series(
         if end is None or end <= start:
             end = max(packet.timestamp_us, start + 1)
         target = upstream if label.kind == KIND_UPSTREAM else downstream
-        target.add(
+        target.append(
             TimeRange(
                 start,
                 end,
@@ -605,7 +626,11 @@ def _loss_series(
                                 refs=[packet.index]),
             )
         )
-    return upstream, downstream, reordering
+    return (
+        TimeRangeSet(upstream),
+        TimeRangeSet(downstream),
+        TimeRangeSet(reordering),
+    )
 
 
 @dataclass
@@ -639,40 +664,39 @@ def _flight_cycles(
         if gap_threshold_us is not None
         else flight_gap_threshold_us(rtt_us)
     )
-    flights = group_flights(data, threshold)
+    times = [p.timestamp_us for p in data]
+    ends = [seq + p.payload_len for p, seq in zip(data, connection.data_seqs())]
+    starts = flight_starts(times, threshold)
+    stops = starts[1:] + [len(data)]
     # Per-flight ACK shifting may locally perturb the time order; sort
     # so the bisect lookups below stay correct.
     pairs = sorted(
-        (a.effective_time_us, connection.relative_ack(a)) for a in acks
+        zip([a.effective_time_us for a in acks], connection.ack_values())
     )
     ack_times = [t for t, _ in pairs]
-    ack_values = [v for _, v in pairs]
-    # ack_values is non-decreasing in a sane trace; enforce monotonicity
-    # so bisect works even through reordered captures.
+    # ack values are non-decreasing in a sane trace; enforce
+    # monotonicity so bisect works even through reordered captures.
     running = 0
     monotone = []
-    for value in ack_values:
-        running = max(running, value)
+    for _, value in pairs:
+        if value > running:
+            running = value
         monotone.append(running)
 
     cycles: list[FlightCycle] = []
-    for i, flight in enumerate(flights):
-        start = flight[0].timestamp_us
-        last_data = flight[-1].timestamp_us
-        next_start = (
-            flights[i + 1][0].timestamp_us if i + 1 < len(flights) else None
-        )
+    for lo, hi in zip(starts, stops):
+        start = times[lo]
+        last_data = times[hi - 1]
+        next_start = times[hi] if hi < len(times) else None
         end = next_start if next_start is not None else last_data + rtt_us
-        flight_end_seq = max(
-            connection.relative_seq(p) + p.payload_len for p in flight
-        )
+        flight_end_seq = max(ends[lo:hi])
         acked_us = _first_ack_covering(
             ack_times, monotone, last_data, flight_end_seq
         )
-        peak = max(
-            flight_end_seq
-            - _ack_value_at(ack_times, monotone, p.timestamp_us)
-            for p in flight
+        # The ACK level never falls over time, so the flight's peak
+        # outstanding is taken at its earliest packet.
+        peak = flight_end_seq - _ack_value_at(
+            ack_times, monotone, min(times[lo:hi])
         )
         last_ack_before_next = None
         if next_start is not None:
@@ -684,8 +708,8 @@ def _flight_cycles(
                 start_us=start,
                 last_data_us=last_data,
                 end_us=end,
-                packets=len(flight),
-                bytes=sum(p.payload_len for p in flight),
+                packets=hi - lo,
+                bytes=sum([p.payload_len for p in data[lo:hi]]),
                 peak_outstanding=peak,
                 acked_us=acked_us,
                 next_start_us=next_start,
@@ -720,7 +744,7 @@ def _bandwidth_limited(
     config: SeriesConfig,
     min_duration_us: int = 20_000,
 ) -> TimeRangeSet:
-    result = TimeRangeSet()
+    runs: list[TimeRange] = []
     run_start: int | None = None
     run_packets = 0
 
@@ -733,7 +757,7 @@ def _bandwidth_limited(
             and run_packets >= config.bandwidth_min_packets
             and end_us - run_start >= min_duration_us
         ):
-            result.add_span(run_start, end_us)
+            runs.append(TimeRange(run_start, end_us))
 
     for prev, curr in zip(data, data[1:]):
         gap = curr.timestamp_us - prev.timestamp_us
@@ -748,4 +772,4 @@ def _bandwidth_limited(
             run_start = None
             run_packets = 0
     commit(data[-1].timestamp_us if data else 0)
-    return result
+    return TimeRangeSet(runs)

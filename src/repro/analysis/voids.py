@@ -17,10 +17,12 @@ analysis period (see ``analyze_connection(exclude_voids=True)``).
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from repro.analysis.profile import Connection
-from repro.core.timeranges import TimeRangeSet
+from repro.core.timeranges import TimeRange, TimeRangeSet
 
 
 @dataclass
@@ -50,11 +52,12 @@ def find_capture_voids(connection: Connection) -> CaptureVoidReport:
     if not data or not acks:
         return CaptureVoidReport(detected=False)
 
-    seen = TimeRangeSet()
-    for packet in data:
-        seq = connection.relative_seq(packet)
-        seen.add_span(seq, seq + packet.payload_len)
-    highest_ack = max(connection.relative_ack(a) for a in acks)
+    seqs = connection.data_seqs()
+    seen = TimeRangeSet([
+        TimeRange(seq, seq + packet.payload_len)
+        for packet, seq in zip(data, seqs)
+    ])
+    highest_ack = max(connection.ack_values())
     acked = TimeRangeSet([(0, highest_ack)]) if highest_ack > 0 else TimeRangeSet()
     phantom = acked.difference(seen)
     if not phantom:
@@ -62,20 +65,26 @@ def find_capture_voids(connection: Connection) -> CaptureVoidReport:
 
     # Map each phantom byte range to the time window it must have been
     # transmitted in: between the last seen packet below it and the
-    # first seen packet above it.
-    events = sorted(
-        (connection.relative_seq(p), p.timestamp_us) for p in data
-    )
-    voids = TimeRangeSet()
+    # first seen packet above it.  Over the seq-sorted packets, a
+    # prefix maximum and a suffix minimum of the timestamps answer both
+    # for every hole with one bisection each.
+    events = sorted(zip(seqs, [p.timestamp_us for p in data]))
+    event_seqs = [seq for seq, _ in events]
+    latest_before = list(accumulate((t for _, t in events), max))
+    earliest_from = list(accumulate((t for _, t in reversed(events)), min))
+    earliest_from.reverse()
+    first_us = connection.packets[0].timestamp_us
+    last_us = connection.packets[-1].timestamp_us
+    windows = []
     for hole in phantom:
-        before = [t for seq, t in events if seq < hole.start]
-        after = [t for seq, t in events if seq >= hole.end]
-        start_us = max(before) if before else connection.packets[0].timestamp_us
-        end_us = min(after) if after else connection.packets[-1].timestamp_us
+        below = bisect.bisect_left(event_seqs, hole.start)
+        above = bisect.bisect_left(event_seqs, hole.end)
+        start_us = latest_before[below - 1] if below else first_us
+        end_us = earliest_from[above] if above < len(events) else last_us
         if end_us > start_us:
-            voids.add_span(start_us, end_us)
+            windows.append(TimeRange(start_us, end_us))
     return CaptureVoidReport(
         detected=True,
         phantom_bytes=phantom.size(),
-        void_windows=voids,
+        void_windows=TimeRangeSet(windows),
     )

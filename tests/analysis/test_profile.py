@@ -3,10 +3,11 @@
 import io
 import random
 
-from repro.analysis.profile import Trace, canonical_key
+from repro.analysis.profile import Trace, TracePacket, canonical_key
 from repro.bgp.table import generate_table
 from repro.netsim.simulator import Simulator
 from repro.wire.pcap import PcapRecord, records_to_bytes
+from repro.wire.tcpw import ACK
 from repro.workloads.scenarios import MonitoringSetup, RouterParams
 
 from tests.analysis.helpers import (
@@ -143,3 +144,57 @@ class TestTraceFromPcap:
         records.append(PcapRecord(timestamp_us=10**9, data=b"\x00" * 40))
         trace = Trace.from_pcap(records)
         assert trace.skipped_frames == 1
+
+
+class TestPartitionColumns:
+    """The cached data/ACK partition and its sequence columns."""
+
+    def test_columns_align_with_relative_numbers(self):
+        builder = TraceBuilder().handshake()
+        for i in range(4):
+            builder.data(20_000 + i * 100, i * 1400, 1400)
+            builder.ack(21_000 + i * 100, (i + 1) * 1400)
+        conn = builder.build()
+        assert conn.data_seqs() == [
+            conn.relative_seq(p) for p in conn.data_packets()
+        ]
+        assert conn.ack_values() == [
+            conn.relative_ack(p) for p in conn.ack_packets()
+        ]
+        assert conn.data_seqs() == [0, 1400, 2800, 4200]
+        assert conn.ack_values() == [1400, 2800, 4200, 5600]
+
+    def test_columns_follow_a_later_add_and_finalize(self):
+        builder = TraceBuilder().handshake().data(20_000, 0, 1400)
+        builder.ack(21_000, 1400)
+        conn = builder.build()
+        assert [p.timestamp_us for p in conn.data_packets()] == [20_000]
+        builder.data(22_000, 1400, 1400).ack(23_000, 2800)
+        assert [p.timestamp_us for p in conn.data_packets()] == [20_000, 22_000]
+        assert conn.data_seqs() == [0, 1400]
+        assert conn.ack_values() == [1400, 2800]
+        conn.finalize()
+        assert conn.profile.total_data_packets == 2
+        assert conn.data_seqs() == [0, 1400]
+
+    def test_finalize_recomputes_the_partition_for_a_new_sender(self):
+        builder = TraceBuilder().handshake().data(20_000, 0, 100)
+        conn = builder.build()
+        assert conn.sender_ip == SENDER
+        assert len(conn.data_packets()) == 1
+        # The receiver turns out to send the bulk of the bytes.
+        for i in range(3):
+            conn.add(TracePacket(
+                index=100 + i, timestamp_us=30_000 + i, src_ip=RECEIVER,
+                src_port=DPORT, dst_ip=SENDER, dst_port=SPORT,
+                seq=2001 + i * 1000, ack=1101, flags=ACK, window=65535,
+                payload_len=1000, wire_len=1054, ip_id=50 + i,
+            ))
+        conn.finalize()
+        assert conn.sender_ip == RECEIVER
+        assert [p.src_ip for p in conn.data_packets()] == [RECEIVER] * 3
+        assert conn.data_seqs() == [0, 1000, 2000]
+        assert conn.ack_values() == [
+            conn.relative_ack(p) for p in conn.ack_packets()
+        ]
+        assert conn.profile.total_data_packets == 3

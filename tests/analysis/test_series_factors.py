@@ -1,14 +1,20 @@
 """Unit tests for series generation, step functions and factor vectors."""
 
+import bisect
+import random
+
 import pytest
 
 from repro.analysis.ackshift import shift_acks
 from repro.analysis.factors import FACTORS, classify
+from repro.analysis.flights import group_flights
 from repro.analysis.labeling import label_connection
 from repro.analysis.series import (
     SERIES_NAMES,
+    FlightCycle,
     SeriesConfig,
     StepFunction,
+    _flight_cycles,
     generate_series,
 )
 
@@ -201,3 +207,114 @@ class TestFactors:
         # The paper tests thresholds 0.3..0.5 without qualitative change.
         for threshold in (0.3, 0.4, 0.5):
             assert report.major_groups(threshold) == ["sender"]
+
+
+def per_packet_flight_cycles(connection, rtt_us, gap_threshold_us):
+    """The flight-cycle walk over per-packet objects, kept as the oracle.
+
+    Flights are packet lists, and a flight's peak outstanding is the
+    maximum over its packets of the flight's end sequence minus the ACK
+    level at that packet's timestamp.
+    """
+    data = connection.data_packets()
+    flights = group_flights(data, gap_threshold_us)
+    pairs = sorted(
+        (a.effective_time_us, connection.relative_ack(a))
+        for a in connection.ack_packets()
+    )
+    ack_times = [t for t, _ in pairs]
+    monotone, running = [], 0
+    for _, value in pairs:
+        running = max(running, value)
+        monotone.append(running)
+
+    def ack_level(time_us):
+        idx = bisect.bisect_right(ack_times, time_us) - 1
+        return monotone[idx] if idx >= 0 else 0
+
+    cycles = []
+    for i, flight in enumerate(flights):
+        last_data = flight[-1].timestamp_us
+        next_start = (
+            flights[i + 1][0].timestamp_us if i + 1 < len(flights) else None
+        )
+        end_seq = max(connection.relative_seq(p) + p.payload_len for p in flight)
+        start = bisect.bisect_left(ack_times, last_data)
+        acked = next(
+            (ack_times[j] for j in range(start, len(ack_times))
+             if monotone[j] >= end_seq),
+            None,
+        )
+        last_ack_before_next = None
+        if next_start is not None:
+            idx = bisect.bisect_right(ack_times, next_start) - 1
+            if idx >= 0:
+                last_ack_before_next = ack_times[idx]
+        cycles.append(FlightCycle(
+            start_us=flight[0].timestamp_us,
+            last_data_us=last_data,
+            end_us=next_start if next_start is not None else last_data + rtt_us,
+            packets=len(flight),
+            bytes=sum(p.payload_len for p in flight),
+            peak_outstanding=max(
+                end_seq - ack_level(p.timestamp_us) for p in flight
+            ),
+            acked_us=acked,
+            next_start_us=next_start,
+            last_ack_before_next_us=last_ack_before_next,
+        ))
+    return cycles
+
+
+def reordered_flights_connection(seed=5, flights=12):
+    """Flights whose packets are captured out of time order.
+
+    Inside each flight a late-captured packet carries an earlier
+    timestamp than its predecessor, and ACKs land between them, so the
+    ACK level differs between a flight's first and earliest packet.
+    """
+    rng = random.Random(seed)
+    builder = TraceBuilder().handshake()
+    t = 100_000
+    seq = 0
+    acked = 0
+    for _ in range(flights):
+        first = t + rng.randrange(400, 900)
+        builder.data(first, seq, 1400)
+        builder.ack(t + 300, acked + rng.randrange(0, 2) * 1400)
+        acked = max(acked, seq)
+        builder.data(t, seq + 1400, 1400)  # earlier than its predecessor
+        builder.data(first + 200, seq + 2800, 1400)
+        builder.ack(first + 1500, seq + 4200)
+        acked = seq + 4200
+        seq += 4200
+        t += rng.randrange(20_000, 60_000)
+    return builder.build()
+
+
+class TestFlightCycles:
+    @pytest.mark.parametrize("make", [
+        reordered_flights_connection,
+        timer_gap_connection,
+        window_bound_connection,
+    ])
+    @pytest.mark.parametrize("shifted", [False, True])
+    def test_index_walk_matches_per_packet_oracle(self, make, shifted):
+        conn = make()
+        if shifted:
+            shift_acks(conn)
+        for threshold in (1_000, 2_000, 30_000):
+            assert _flight_cycles(
+                conn, conn.data_packets(), conn.ack_packets(),
+                conn.profile.rtt_us, gap_threshold_us=threshold,
+            ) == per_packet_flight_cycles(conn, conn.profile.rtt_us, threshold)
+
+    def test_peak_is_taken_at_the_earliest_packet(self):
+        conn = reordered_flights_connection()
+        cycles = _flight_cycles(
+            conn, conn.data_packets(), conn.ack_packets(),
+            conn.profile.rtt_us, gap_threshold_us=2_000,
+        )
+        # Each flight is the three data packets built together.
+        assert [c.packets for c in cycles] == [3] * 12
+        assert all(c.peak_outstanding > 0 for c in cycles)

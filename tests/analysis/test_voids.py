@@ -2,9 +2,12 @@
 
 import random
 
+import pytest
+
 from repro.analysis.tdat import analyze_pcap
 from repro.analysis.voids import find_capture_voids
 from repro.bgp.table import generate_table
+from repro.core.timeranges import TimeRangeSet
 from repro.core.units import seconds
 from repro.netsim.simulator import Simulator
 from repro.workloads.scenarios import MonitoringSetup, RouterParams
@@ -99,3 +102,71 @@ class TestVoidExclusionEndToEnd:
             with_exclusion.analysis_period_us
             < without_exclusion.analysis_period_us
         )
+
+
+def brute_force_voids(connection):
+    """Phantom bytes and void windows by scanning every data event per
+    hole, kept as the oracle for the bisection form."""
+    data = connection.data_packets()
+    seen = TimeRangeSet()
+    for packet in data:
+        seq = connection.relative_seq(packet)
+        seen.add_span(seq, seq + packet.payload_len)
+    highest_ack = max(connection.relative_ack(a) for a in connection.ack_packets())
+    phantom = TimeRangeSet([(0, highest_ack)]).difference(seen)
+    events = sorted((connection.relative_seq(p), p.timestamp_us) for p in data)
+    voids = TimeRangeSet()
+    for hole in phantom:
+        before = [t for seq, t in events if seq < hole.start]
+        after = [t for seq, t in events if seq >= hole.end]
+        start_us = max(before) if before else connection.packets[0].timestamp_us
+        end_us = min(after) if after else connection.packets[-1].timestamp_us
+        if end_us > start_us:
+            voids.add_span(start_us, end_us)
+    return phantom.size(), [(r.start, r.end) for r in voids]
+
+
+def holey_connection(seed, segments=300):
+    """A tap that missed many segments, on a jittery, lossy path.
+
+    About half of the segments never reach the capture; captured ones
+    arrive with jitter (so seq order and time order disagree), some
+    are captured twice as retransmissions, and the receiver acks
+    straight through the missing bytes.
+    """
+    rng = random.Random(seed)
+    builder = TraceBuilder().handshake()
+    t = 20_000
+    for i in range(segments):
+        t += rng.randrange(50, 400)
+        if rng.random() < 0.5:
+            continue  # the sniffer dropped it
+        builder.data(t + rng.randrange(-300, 300), i * 1000, 1000)
+        if rng.random() < 0.1:
+            builder.data(t + rng.randrange(5_000, 50_000), i * 1000, 1000)
+        if rng.random() < 0.2:
+            builder.ack(t + 500, (i + 1) * 1000)
+    builder.ack(t + 100_000, segments * 1000)
+    return builder.build()
+
+
+class TestVoidsAgainstBruteForce:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_many_hole_connections(self, seed):
+        conn = holey_connection(seed)
+        report = find_capture_voids(conn)
+        phantom_bytes, windows = brute_force_voids(conn)
+        assert report.detected
+        assert report.phantom_bytes == phantom_bytes
+        assert [(r.start, r.end) for r in report.void_windows] == windows
+
+    def test_holes_at_both_ends(self):
+        builder = TraceBuilder().handshake()
+        builder.data(30_000, 1000, 1000)  # [0, 1000) never captured
+        builder.data(40_000, 3000, 1000)
+        builder.ack(90_000, 6000)  # [4000, 6000) never captured either
+        conn = builder.build()
+        report = find_capture_voids(conn)
+        phantom_bytes, windows = brute_force_voids(conn)
+        assert (report.phantom_bytes, phantom_bytes) == (4000, 4000)
+        assert [(r.start, r.end) for r in report.void_windows] == windows

@@ -15,6 +15,8 @@ class TestTimeRange:
     def test_reversed_range_rejected(self):
         with pytest.raises(ValueError):
             TimeRange(10, 5)
+        with pytest.raises(ValueError):
+            TimeRangeSet([(10, 5)])
 
     def test_contains_half_open(self):
         rng = TimeRange(10, 20)
