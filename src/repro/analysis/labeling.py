@@ -78,9 +78,7 @@ def label_connection(connection: Connection) -> LabelingResult:
     labels: list[PacketLabel] = []
     seen = TimeRangeSet()  # sequence-space coverage
     first_seen_time: dict[int, int] = {}  # seg rel_seq -> first time
-    # Sequence holes and when they became visible (the arrival of the
-    # first packet that jumped past them).
-    gaps: list[list[int]] = []  # [start, end, created_time, creator_ip_id]
+    holes = _Holes()
     max_seq_end = 0
     max_end_time = 0  # when max_seq_end was reached
     max_end_ip_id = 0
@@ -96,7 +94,8 @@ def label_connection(connection: Connection) -> LabelingResult:
                 kind = KIND_DOWNSTREAM
                 trigger = first_seen_time.get(seq, packet.timestamp_us)
             else:
-                gap = _find_gap(gaps, seq)
+                at = holes.find(seq)
+                gap = holes.holes[at] if at is not None else None
                 gap_time = gap[2] if gap else max_end_time
                 gap_ip_id = gap[3] if gap else max_end_ip_id
                 arrived_quickly = (
@@ -110,7 +109,7 @@ def label_connection(connection: Connection) -> LabelingResult:
                     kind = KIND_UPSTREAM
                     trigger = gap_time
                 if gap:
-                    _shrink_gap(gaps, gap, seq, end)
+                    holes.fill(at, seq, end)
             recovery = None
             if kind in (KIND_UPSTREAM, KIND_DOWNSTREAM):
                 recovery = _recovery_time(
@@ -127,8 +126,8 @@ def label_connection(connection: Connection) -> LabelingResult:
         else:
             labels.append(PacketLabel(packet=packet, kind=KIND_NEW))
             if seq > max_seq_end:
-                gaps.append(
-                    [max_seq_end, seq, packet.timestamp_us, packet.ip_id]
+                holes.open(
+                    max_seq_end, seq, packet.timestamp_us, packet.ip_id
                 )
             max_seq_end = end
             max_end_time = packet.timestamp_us
@@ -138,23 +137,44 @@ def label_connection(connection: Connection) -> LabelingResult:
     return LabelingResult(labels=labels)
 
 
-def _find_gap(gaps: list[list[int]], seq: int) -> list[int] | None:
-    for gap in gaps:
-        if gap[0] <= seq < gap[1]:
-            return gap
-    return None
+class _Holes:
+    """Sequence holes and when they became visible.
 
+    Each hole is ``[start, end, created_time, creator_ip_id]``: a span
+    never seen at the tap, and the arrival time and IP ID of the first
+    packet that jumped past it.  Holes are disjoint and only ever open
+    past the highest sequence seen, so they stay sorted by start and a
+    lookup is a bisection.
+    """
 
-def _shrink_gap(
-    gaps: list[list[int]], gap: list[int], fill_start: int, fill_end: int
-) -> None:
-    """Remove the filled part of a hole, splitting it if needed."""
-    start, end, created, ip_id = gap
-    gaps.remove(gap)
-    if fill_start > start:
-        gaps.append([start, fill_start, created, ip_id])
-    if fill_end < end:
-        gaps.append([fill_end, end, created, ip_id])
+    __slots__ = ("starts", "holes")
+
+    def __init__(self) -> None:
+        self.starts: list[int] = []
+        self.holes: list[list[int]] = []
+
+    def open(self, start: int, end: int, created: int, ip_id: int) -> None:
+        """Record a new hole past every existing one."""
+        self.starts.append(start)
+        self.holes.append([start, end, created, ip_id])
+
+    def find(self, seq: int) -> int | None:
+        """Position of the hole containing ``seq``, if any."""
+        at = bisect.bisect_right(self.starts, seq) - 1
+        if at >= 0 and seq < self.holes[at][1]:
+            return at
+        return None
+
+    def fill(self, at: int, fill_start: int, fill_end: int) -> None:
+        """Remove the filled part of hole ``at``, splitting it if needed."""
+        start, end, created, ip_id = self.holes[at]
+        pieces = []
+        if fill_start > start:
+            pieces.append([start, fill_start, created, ip_id])
+        if fill_end < end:
+            pieces.append([fill_end, end, created, ip_id])
+        self.holes[at : at + 1] = pieces
+        self.starts[at : at + 1] = [piece[0] for piece in pieces]
 
 
 def _ip_id_before(candidate: int, reference: int) -> bool:

@@ -14,6 +14,7 @@ seen), following Jaiswal et al.
 
 from __future__ import annotations
 
+import heapq
 import statistics
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -25,7 +26,7 @@ from repro.bgp.messages import HEADER_LEN as BGP_HEADER_LEN
 from repro.bgp.messages import MARKER as BGP_MARKER
 from repro.core.health import STAGE_FRAME, TraceHealth
 from repro.wire import frames
-from repro.wire.pcap import PcapReader, PcapRecord, read_pcap
+from repro.wire.pcap import PcapReader, PcapRecord
 from repro.wire.tcpw import ACK, FIN, RST, SYN
 
 FlowKey = tuple[str, int, str, int]
@@ -448,42 +449,22 @@ class Trace:
         With ``tolerant=True`` the pcap layer survives structural
         damage (see :class:`~repro.wire.pcap.PcapReader`); either way,
         undecodable frames are skipped and accounted in ``health``.
+        This is :func:`iter_connections` with no linger: every flow is
+        held to end of file, so connections keep first-appearance order
+        and a late packet still joins its 4-tuple's connection.
         """
         trace = cls(health=health)
-        if isinstance(source, list):
-            records = source
-            trace.health.records_read += len(records)
-        else:
-            records = read_pcap(source, tolerant=tolerant, health=trace.health)
-        for index, record in enumerate(records):
-            trace.total_records += 1
-            try:
-                fields = frames.parse_packet(record.data)
-            except (frames.FrameError, ValueError) as exc:
-                trace.skipped_frames += 1
-                trace.health.record(
-                    STAGE_FRAME, "undecodable-frame",
-                    timestamp_us=record.timestamp_us,
-                    bytes_lost=record.captured_length,
-                    detail=str(exc),
-                    benign=True,
-                )
-                continue
-            trace.health.frames_decoded += 1
-            packet = _packet_from_fields(index, record, fields)
-            key = canonical_key(
-                fields.src_ip,
-                fields.src_port,
-                fields.dst_ip,
-                fields.dst_port,
-            )
-            connection = trace.connections.get(key)
-            if connection is None:
-                connection = Connection(key)
-                trace.connections[key] = connection
-            connection.add(packet)
-        for connection in trace.connections.values():
-            connection.finalize()
+        health = trace.health
+        records_before = health.records_read
+        decoded_before = health.frames_decoded
+        for connection in iter_connections(
+            source, health, tolerant, linger_us=None
+        ):
+            trace.connections[connection.key] = connection
+        trace.total_records = health.records_read - records_before
+        trace.skipped_frames = trace.total_records - (
+            health.frames_decoded - decoded_before
+        )
         return trace
 
     def __len__(self) -> int:
@@ -523,6 +504,7 @@ class _OpenFlow:
     """Streaming-ingest state of one not-yet-finalized connection."""
 
     connection: Connection
+    first_index: int  # record index of its first packet
     last_ts_us: int = 0
     fin_from: set = field(default_factory=set)
     saw_rst: bool = False
@@ -547,21 +529,22 @@ def iter_connections(
     source: BinaryIO | str | Path | list[PcapRecord],
     health: TraceHealth | None = None,
     tolerant: bool = False,
-    linger_us: int = DEFAULT_LINGER_US,
+    linger_us: int | None = DEFAULT_LINGER_US,
     *,
     ledger: StateLedger | None = None,
 ) -> Iterator[Connection]:
     """Stream finalized connections out of a capture, flow by flow.
 
-    The buffered path (:meth:`Trace.from_pcap`) holds every parsed
-    frame of every connection until the file ends; this iterator
-    finalizes and yields each connection as soon as its flow has closed
-    (FINs from both sides or an RST) and stayed quiet for
-    ``linger_us``, so peak memory is bounded by the *open* flows, not
-    the whole capture.  Per-connection results are identical to the
-    buffered path for captures whose flows close cleanly; a packet
-    arriving for an already-emitted flow is dropped and accounted in
-    ``health`` rather than resurrecting the connection.
+    This is T-DAT's one connection demultiplexer.  Each connection is
+    finalized and yielded as soon as its flow has closed (FINs from
+    both sides or an RST) and stayed quiet for ``linger_us``, so peak
+    memory is bounded by the *open* flows, not the whole capture; a
+    packet arriving for an already-emitted flow is dropped and
+    accounted in ``health`` rather than resurrecting the connection.
+    ``linger_us=None`` finalizes nothing before end of file: every
+    connection is yielded then, in first-appearance order, and a late
+    packet still joins its 4-tuple's connection (the buffered view,
+    :meth:`Trace.from_pcap`).
 
     A :class:`~repro.analysis.budget.StateLedger` bounds even the open
     flows: every packet is metered through it, per-connection caps shed
@@ -583,6 +566,10 @@ def iter_connections(
         reader_counts = True
     open_flows: dict[FlowKey, _OpenFlow] = {}
     emitted: set[FlowKey] = set()
+    # Closable flows by expiry: a ``(last_ts_us, first index, key)``
+    # entry is pushed whenever a closable flow's clock moves, and an
+    # entry whose time no longer matches its open flow is stale.
+    expiry: list[tuple[int, int, FlowKey]] = []
     try:
         for index, record in enumerate(records):
             if not reader_counts:
@@ -605,15 +592,11 @@ def iter_connections(
                 fields.dst_ip,
                 fields.dst_port,
             )
-            # Sweep flows whose close has lingered long enough.
             now = record.timestamp_us
-            for other_key in list(open_flows):
-                flow = open_flows[other_key]
-                if (
-                    other_key != key
-                    and flow.closable
-                    and now - flow.last_ts_us > linger_us
-                ):
+            if expiry and expiry[0][0] < now - linger_us:
+                # Finalize flows whose close has lingered long enough.
+                for flow in _expired(open_flows, expiry, now - linger_us, key):
+                    other_key = flow.connection.key
                     del open_flows[other_key]
                     emitted.add(other_key)
                     if ledger is not None:
@@ -629,27 +612,30 @@ def iter_connections(
                     benign=True,
                 )
                 continue
+            flow = open_flows.get(key)
             if ledger is not None and not ledger.admit(
                 key, len(fields.payload), fields.flags, now
             ):
                 # A capped connection sheds this packet, but its clock
-                # must keep running so the linger sweep stays honest.
-                flow = open_flows.get(key)
+                # must keep running so the linger stays honest.
                 if flow is not None:
                     flow.connection.complete = False
                     flow.last_ts_us = now
+                    if linger_us is not None and flow.closable:
+                        heapq.heappush(expiry, (now, flow.first_index, key))
                 continue
             packet = _packet_from_fields(index, record, fields)
-            flow = open_flows.get(key)
             if flow is None:
-                flow = _OpenFlow(connection=Connection(key))
+                flow = _OpenFlow(Connection(key), index)
                 open_flows[key] = flow
             flow.connection.add(packet)
-            flow.last_ts_us = record.timestamp_us
+            flow.last_ts_us = now
             if packet.is_fin:
                 flow.fin_from.add(packet.src_ip)
             if packet.is_rst:
                 flow.saw_rst = True
+            if linger_us is not None and flow.closable:
+                heapq.heappush(expiry, (now, flow.first_index, key))
             if ledger is not None:
                 for victim_key, policy in ledger.plan_evictions(
                     open_flows, key, now
@@ -674,6 +660,29 @@ def iter_connections(
     finally:
         if reader is not None:
             reader.close()
+
+
+def _expired(
+    open_flows: dict[FlowKey, _OpenFlow],
+    expiry: list[tuple[int, int, FlowKey]],
+    deadline_us: int,
+    current_key: FlowKey,
+) -> list[_OpenFlow]:
+    """Pop the closable flows last heard before ``deadline_us``.
+
+    They come back in ``open_flows`` (first-appearance) order.  The
+    flow of the packet in hand is never expired: that packet moves its
+    clock to now and pushes a fresh entry, so its old one is dropped.
+    """
+    expired: dict[FlowKey, _OpenFlow] = {}
+    while expiry and expiry[0][0] < deadline_us:
+        last_ts_us, _, key = heapq.heappop(expiry)
+        flow = open_flows.get(key)
+        if flow is None or flow.last_ts_us != last_ts_us:
+            continue  # stale: the flow has moved on or is gone
+        if key != current_key:
+            expired[key] = flow
+    return sorted(expired.values(), key=lambda flow: flow.first_index)
 
 
 def canonical_key(

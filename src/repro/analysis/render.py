@@ -29,7 +29,7 @@ import json
 from typing import Iterable
 
 from repro.analysis.budget import DegradationSummary
-from repro.analysis.tdat import ConnectionAnalysis, TdatReport
+from repro.analysis.tdat import ConnectionAnalysis, TdatReport, capture_order
 from repro.core.health import TraceHealth
 
 
@@ -200,28 +200,17 @@ class ReportRenderer:
     # Reader side
     # ------------------------------------------------------------------
     def connections(self) -> list[ConnectionAnalysis]:
-        """The accumulated analyses in capture (first-packet) order.
-
-        Streaming ingest yields flows in *close* order; reports must
-        not depend on the execution mode, so snapshots are re-sorted
-        the same way :func:`~repro.analysis.tdat.analyze_pcap` restores
-        capture order.
-        """
-        return sorted(
-            self._analyses, key=lambda a: a.connection.packets[0].index
-        )
+        """The accumulated analyses in capture (first-packet) order,
+        as :func:`~repro.analysis.tdat.analyze_pcap` reports them."""
+        return capture_order(self._analyses)
 
     def report_dict(self) -> dict:
         """The current report payload (same shape as ``tdat --json``)."""
-        payload = {
-            "connections": [
-                analysis_to_dict(a) for a in self.connections()
-            ],
-            "health": self.health.to_dict(),
-        }
-        if self.degradation is not None:
-            payload["degradation"] = self.degradation.to_dict()
-        return payload
+        return report_payload(TdatReport(
+            analyses={a.key: a for a in self.connections()},
+            health=self.health,
+            degradation=self.degradation,
+        ))
 
     def render_report(self) -> tuple[str, bytes]:
         """``(etag, body)`` of the current report, cached by version."""

@@ -9,6 +9,7 @@ TCP connection in a capture and returns a structured report.
 from __future__ import annotations
 
 import time
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import BinaryIO
@@ -30,9 +31,9 @@ from repro.analysis.detectors import (
 from repro.analysis.factors import FactorReport, classify
 from repro.analysis.labeling import LabelingResult, label_connection
 from repro.analysis.profile import (
+    DEFAULT_LINGER_US,
     Connection,
     FlowKey,
-    Trace,
     iter_connections,
 )
 from repro.analysis.series import (
@@ -243,61 +244,20 @@ def analyze_pcap(
     if budget is not None and budget.bounded:
         ledger = StateLedger(budget, health=health)
         report.degradation = ledger.summary
-    bounded = streaming or ledger is not None
     if pool is None:
         pool = WorkPool(workers=workers)
-    parallel = pool.workers > 1
-
-    if bounded and not parallel:
-        for analysis in _analyze_stream(
-            source, report, windows=windows, config=config,
-            min_data_packets=min_data_packets, strict=strict, health=health,
-            ledger=ledger,
-        ):
-            report.analyses[analysis.key] = analysis
-        _restore_capture_order(report)
-        return report
-
-    if bounded:
-        # Parallel + streaming: ingest incrementally (bounded by open
-        # flows, and by the ledger when a budget is set), then batch
-        # the eligible connections through the pool.
-        connections = iter_connections(
-            source, health=health, tolerant=not strict, ledger=ledger,
-        )
-    else:
-        connections = iter(
-            Trace.from_pcap(source, health=health, tolerant=not strict)
-        )
-
-    eligible: list[tuple[Connection, tuple[int, int] | None]] = []
-    for connection in connections:
-        if connection.profile is None or (
-            connection.profile.total_data_packets < min_data_packets
-        ):
-            report.skipped_connections += 1
-            continue
-        window = windows.get(connection.key) if windows else None
-        eligible.append((connection, window))
-
-    if not parallel:
-        for connection, window in eligible:
-            try:
-                report.analyses[connection.key] = analyze_connection(
-                    connection, window=window, config=config
-                )
-            except Exception as exc:
-                if strict:
-                    raise
-                # Contain the blast radius to one connection: record
-                # what was lost and keep analyzing the rest.
-                report.skipped_connections += 1
-                _record_analysis_failure(
-                    health, connection, f"{type(exc).__name__}: {exc}"
-                )
-    else:
-        outcomes = pool.map(_analyze_connection_task, eligible, context=config)
-        for (connection, _), outcome in zip(eligible, outcomes):
+    connections = iter_connections(
+        source, health=health, tolerant=not strict,
+        linger_us=(
+            DEFAULT_LINGER_US if streaming or ledger is not None else None
+        ),
+        ledger=ledger,
+    )
+    eligible = _eligible(connections, report, windows, min_data_packets)
+    if pool.workers > 1:
+        batch = list(eligible)
+        outcomes = pool.map(_analyze_connection_task, batch, context=config)
+        for (connection, _), outcome in zip(batch, outcomes):
             if outcome.ok:
                 report.analyses[connection.key] = outcome.value
                 continue
@@ -308,47 +268,58 @@ def analyze_pcap(
                 )
             report.skipped_connections += 1
             _record_analysis_failure(health, connection, str(outcome.error))
-    if bounded:
-        _restore_capture_order(report)
+    else:
+        for analysis in _analyze_each(eligible, report, config, strict):
+            report.analyses[analysis.key] = analysis
+    report.analyses = {
+        analysis.key: analysis
+        for analysis in capture_order(report.analyses.values())
+    }
     return report
 
 
-def _restore_capture_order(report: TdatReport) -> None:
-    """Reorder analyses to first-appearance order of their connections.
+def capture_order(
+    analyses: Iterable[ConnectionAnalysis],
+) -> list[ConnectionAnalysis]:
+    """Analyses in first-appearance order of their connections.
 
-    Streaming ingest yields flows in *close* order; the buffered path
-    iterates them in first-packet order.  Reports must not depend on
-    the execution mode, so streaming results are put back in capture
-    order (every connection holds its packets, so the order is exact).
+    Streaming ingest yields flows in *close* order and the buffered
+    view in first-packet order; reports must not depend on the
+    execution mode, so every report is put in capture order (every
+    connection holds its packets, so the order is exact).
     """
-    report.analyses = dict(
-        sorted(
-            report.analyses.items(),
-            key=lambda item: item[1].connection.packets[0].index,
-        )
-    )
+    return sorted(analyses, key=lambda a: a.connection.packets[0].index)
 
 
-def _analyze_stream(
-    source: BinaryIO | str | Path | list[PcapRecord],
+def _eligible(
+    connections: Iterable[Connection],
     report: TdatReport,
     windows: dict[FlowKey, tuple[int, int]] | None,
-    config: SeriesConfig,
     min_data_packets: int,
-    strict: bool,
-    health: TraceHealth,
-    ledger: StateLedger | None = None,
-):
-    """Yield analyses one flow at a time, updating ``report`` counters."""
-    for connection in iter_connections(
-        source, health=health, tolerant=not strict, ledger=ledger,
-    ):
+) -> Iterator[tuple[Connection, tuple[int, int] | None]]:
+    """Connections with enough data to analyze, each with its window;
+    the rest count in ``report.skipped_connections``."""
+    for connection in connections:
         if connection.profile is None or (
             connection.profile.total_data_packets < min_data_packets
         ):
             report.skipped_connections += 1
             continue
-        window = windows.get(connection.key) if windows else None
+        yield connection, windows.get(connection.key) if windows else None
+
+
+def _analyze_each(
+    eligible: Iterable[tuple[Connection, tuple[int, int] | None]],
+    report: TdatReport,
+    config: SeriesConfig,
+    strict: bool,
+) -> Iterator[ConnectionAnalysis]:
+    """Serial analysis, one connection at a time.
+
+    A crash costs only its own connection (recorded in ``report``),
+    unless ``strict``.
+    """
+    for connection, window in eligible:
         try:
             yield analyze_connection(connection, window=window, config=config)
         except Exception as exc:
@@ -356,7 +327,7 @@ def _analyze_stream(
                 raise
             report.skipped_connections += 1
             _record_analysis_failure(
-                health, connection, f"{type(exc).__name__}: {exc}"
+                report.health, connection, f"{type(exc).__name__}: {exc}"
             )
 
 
@@ -390,8 +361,10 @@ def iter_analyze_pcap(
     if ledger is None and budget is not None and budget.bounded:
         ledger = StateLedger(budget, health=health)
     throwaway = TdatReport(health=health)
-    yield from _analyze_stream(
-        source, throwaway, windows=windows, config=config,
-        min_data_packets=min_data_packets, strict=strict, health=health,
-        ledger=ledger,
+    connections = iter_connections(
+        source, health=health, tolerant=not strict, ledger=ledger,
+    )
+    yield from _analyze_each(
+        _eligible(connections, throwaway, windows, min_data_packets),
+        throwaway, config, strict,
     )

@@ -391,12 +391,12 @@ def _best_of(repeat: int, fn) -> float:
 
 def _analysis_digest(report) -> str:
     """Canonical digest of an analysis report, for identity checks."""
-    from repro.tools.tdat_cli import _analysis_to_dict
+    from repro.analysis.render import analysis_to_dict
 
     payload = json.dumps(
         {
             "connections": {
-                str(key): _analysis_to_dict(analysis)
+                str(key): analysis_to_dict(analysis)
                 for key, analysis in report.analyses.items()
             },
             "health": report.health.to_dict(),
@@ -445,8 +445,9 @@ def _run_ingest(args) -> int:
                 pass
 
         def read_reference():
-            for _ in PcapReader(corpus, tolerant=True, mmap=False):
-                pass
+            with open(corpus, "rb") as handle:
+                for _ in PcapReader(_Unseekable(handle), tolerant=True):
+                    pass
 
         def parse_fast():
             parse = frames.parse_packet

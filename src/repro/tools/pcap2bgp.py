@@ -21,7 +21,9 @@ from repro.analysis.profile import Connection, Trace
 from repro.bgp.messages import BgpError, BgpMessage, MessageDecoder, UpdateMessage
 from repro.bgp.mrt import MrtRecord, write_mrt
 from repro.core.health import STAGE_BGP, TraceHealth
+from repro.wire import frames
 from repro.wire.pcap import PcapRecord
+from repro.wire.tcpw import SYN
 
 
 @dataclass
@@ -50,6 +52,53 @@ class StreamResult:
         return [m for m in self.messages if isinstance(m.message, UpdateMessage)]
 
 
+class _Reassembler:
+    """In-order delivery of one TCP byte stream.
+
+    Segments past the next expected byte are stashed until the hole
+    before them fills; bytes already delivered are trimmed, so
+    retransmissions and overlaps come out once.
+    """
+
+    __slots__ = ("next_seq", "pending")
+
+    def __init__(self) -> None:
+        self.next_seq = 0  # relative sequence of the next expected byte
+        self.pending: dict[int, bytes] = {}  # rel_seq -> stashed payload
+
+    def push(self, seq: int, payload: bytes) -> list[bytes]:
+        """Take one segment; return the bytes it made contiguous."""
+        next_seq = self.next_seq
+        end = seq + len(payload)
+        if end <= next_seq:
+            return []  # pure retransmission of old data
+        if seq > next_seq:
+            self.pending.setdefault(seq, payload)
+            return []
+        out = [payload[next_seq - seq :]]
+        next_seq = end
+        pending = self.pending
+        if pending:
+            # Drain the stashed segments that are now contiguous.
+            for stash_seq in sorted(pending):
+                if stash_seq > next_seq:
+                    break
+                stashed = pending.pop(stash_seq)
+                stash_end = stash_seq + len(stashed)
+                if stash_end > next_seq:
+                    out.append(stashed[next_seq - stash_seq :])
+                    next_seq = stash_end
+        self.next_seq = next_seq
+        return out
+
+    def missing_bytes(self) -> int:
+        """Stashed bytes still behind a hole that never filled."""
+        return sum(
+            max(0, seq + len(payload) - max(self.next_seq, seq))
+            for seq, payload in self.pending.items()
+        )
+
+
 def reconstruct_stream(
     connection: Connection,
     resync: bool = True,
@@ -64,8 +113,7 @@ def reconstruct_stream(
     stream, preserved in ``decode_error`` — the legacy fail-fast mode.
     """
     messages: list[TimedMessage] = []
-    pending: dict[int, bytes] = {}  # rel_seq -> payload not yet contiguous
-    next_seq = 0
+    stream = _Reassembler()
     stream_bytes = 0
     error: str | None = None
     current_time = 0
@@ -102,36 +150,10 @@ def reconstruct_stream(
                     detail=f"{connection.key}: {exc}",
                 )
 
-    for packet in connection.data_packets():
-        seq = connection.relative_seq(packet)
-        end = seq + packet.payload_len
-        if end <= next_seq:
-            continue  # pure retransmission of old data
-        if seq > next_seq:
-            pending.setdefault(seq, packet.payload)
-            continue
-        feed(packet.payload[next_seq - seq :], packet.timestamp_us)
-        next_seq = end
-        # Drain any stashed segments that are now contiguous.
-        progressed = True
-        while progressed:
-            progressed = False
-            for stash_seq in sorted(pending):
-                payload = pending[stash_seq]
-                stash_end = stash_seq + len(payload)
-                if stash_end <= next_seq:
-                    del pending[stash_seq]
-                    progressed = True
-                elif stash_seq <= next_seq:
-                    del pending[stash_seq]
-                    feed(payload[next_seq - stash_seq :], packet.timestamp_us)
-                    next_seq = stash_end
-                    progressed = True
-                    break
-    missing = sum(
-        max(0, seq + len(payload) - max(next_seq, seq))
-        for seq, payload in pending.items()
-    )
+    for packet, seq in zip(connection.data_packets(), connection.data_seqs()):
+        for data in stream.push(seq, packet.payload):
+            feed(data, packet.timestamp_us)
+    missing = stream.missing_bytes()
     if missing > 0 and health is not None:
         # Capture drops left sequence holes that never filled: the
         # stashed segments beyond them could not be decoded.
@@ -154,6 +176,18 @@ def reconstruct_stream(
     )
 
 
+class _FlowState:
+    """Online reassembly state of one flow direction."""
+
+    __slots__ = ("isn", "stream", "decoder", "dead")
+
+    def __init__(self, decoder: MessageDecoder) -> None:
+        self.isn: int | None = None
+        self.stream = _Reassembler()
+        self.decoder = decoder
+        self.dead = False  # a decode error ended the stream
+
+
 class StreamingPcap2Bgp:
     """Online reconstruction: feed captured frames as they arrive.
 
@@ -167,7 +201,7 @@ class StreamingPcap2Bgp:
     def __init__(self, on_message=None, resync: bool = True) -> None:
         self.on_message = on_message
         self.resync = resync
-        self._flows: dict[tuple, dict] = {}
+        self._flows: dict[tuple, _FlowState] = {}
         self.messages: list[tuple[tuple, TimedMessage]] = []
         self.frames_consumed = 0
         self.skipped_frames = 0
@@ -175,83 +209,45 @@ class StreamingPcap2Bgp:
 
     def feed(self, record: PcapRecord) -> list[TimedMessage]:
         """Process one captured frame; returns messages it completed."""
-        from repro.wire import frames as _frames
-
         self.frames_consumed += 1
         try:
-            parsed = _frames.parse_frame(record.data)
-        except (_frames.FrameError, ValueError):
+            fields = frames.parse_packet(record.data)
+        except (frames.FrameError, ValueError):
             self.skipped_frames += 1
             return []
-        if not parsed.tcp.payload and not parsed.tcp.is_syn:
+        is_syn = bool(fields.flags & SYN)
+        if not fields.payload and not is_syn:
             return []
-        flow = parsed.flow
+        flow = (fields.src_ip, fields.src_port, fields.dst_ip, fields.dst_port)
         state = self._flows.get(flow)
         if state is None:
-            state = {
-                "isn": None,
-                "next_seq": 0,
-                "pending": {},
-                "decoder": MessageDecoder(
-                    resync=self.resync, on_issue=self._count_resync
-                ),
-                "dead": False,
-            }
-            self._flows[flow] = state
-        if parsed.tcp.is_syn:
-            state["isn"] = parsed.tcp.seq
+            state = self._flows[flow] = _FlowState(MessageDecoder(
+                resync=self.resync, on_issue=self._count_resync
+            ))
+        if is_syn:
+            state.isn = fields.seq
             return []
-        if state["dead"] or not parsed.tcp.payload:
+        if state.dead:
             return []
-        if state["isn"] is None:
-            state["isn"] = parsed.tcp.seq - 1
-        rel = (parsed.tcp.seq - state["isn"] - 1) & 0xFFFFFFFF
-        return self._ingest(flow, state, rel, parsed.tcp.payload,
-                            record.timestamp_us)
-
-    def _count_resync(self, kind: str, bytes_lost: int, detail: str) -> None:
-        self.resync_events += 1
-
-    def _ingest(self, flow, state, seq, payload, timestamp):
+        if state.isn is None:
+            state.isn = fields.seq - 1
+        rel = (fields.seq - state.isn - 1) & 0xFFFFFFFF
         out: list[TimedMessage] = []
-
-        def feed_bytes(data: bytes) -> None:
-            if state["dead"]:
-                return
+        for data in state.stream.push(rel, fields.payload):
             try:
-                for message in state["decoder"].feed(data):
-                    timed = TimedMessage(timestamp, message)
+                for message in state.decoder.feed(data):
+                    timed = TimedMessage(record.timestamp_us, message)
                     out.append(timed)
                     self.messages.append((flow, timed))
                     if self.on_message is not None:
                         self.on_message(flow, timed)
             except BgpError:
-                state["dead"] = True
-
-        end = seq + len(payload)
-        if end <= state["next_seq"]:
-            return out  # pure retransmission
-        if seq > state["next_seq"]:
-            state["pending"].setdefault(seq, payload)
-            return out
-        feed_bytes(payload[state["next_seq"] - seq:])
-        state["next_seq"] = end
-        progressed = True
-        while progressed and not state["dead"]:
-            progressed = False
-            for stash_seq in sorted(state["pending"]):
-                stashed = state["pending"][stash_seq]
-                stash_end = stash_seq + len(stashed)
-                if stash_end <= state["next_seq"]:
-                    del state["pending"][stash_seq]
-                    progressed = True
-                elif stash_seq <= state["next_seq"]:
-                    del state["pending"][stash_seq]
-                    feed_bytes(stashed[state["next_seq"] - stash_seq:])
-                    state["next_seq"] = stash_end
-                    progressed = True
-                    break
+                state.dead = True
+                break
         return out
+
+    def _count_resync(self, kind: str, bytes_lost: int, detail: str) -> None:
+        self.resync_events += 1
 
     def flows(self) -> list[tuple]:
         """The flow 4-tuples seen so far."""

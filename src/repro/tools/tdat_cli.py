@@ -43,7 +43,7 @@ import argparse
 import json
 import sys
 
-from repro.analysis.render import analysis_to_dict, report_payload
+from repro.analysis.render import report_payload
 from repro.analysis.series import (
     SNIFFER_AT_RECEIVER,
     SNIFFER_AT_SENDER,
@@ -810,12 +810,6 @@ def _cmd_lint(args) -> int:
     # Returns lint's own codes (0/1/2) documented in LINT_EXIT_CODES,
     # not the analysis table above.
     return _run_lint(args)
-
-
-# The JSON flattening moved to repro.analysis.render so the analysis
-# service shares it; the old private name stays importable for the
-# benchmark harness and differential tests that compare shapes.
-_analysis_to_dict = analysis_to_dict
 
 
 if __name__ == "__main__":

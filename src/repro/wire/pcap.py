@@ -21,7 +21,7 @@ Two reading disciplines:
 from __future__ import annotations
 
 import io
-import mmap as _mmap
+import mmap
 import struct
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
@@ -49,10 +49,6 @@ MAX_PLAUSIBLE_CAPLEN = 1 << 22
 # Resync scans look this far ahead for the next plausible record
 # boundary before declaring the remainder of the file unreadable.
 RESYNC_SCAN_LIMIT = 1 << 20
-# Fast-path record construction happens this many records at a time:
-# large enough to amortize the chunk loop, small enough that an early
-# abandoning consumer never pays for more than one batch of slices.
-DEFAULT_DECODE_BATCH = 512
 # Tolerant mode disbelieves records whose timestamp jumps more than
 # this far from their neighbours.  A structurally intact header with a
 # mangled timestamp field passes every length check — and in
@@ -166,6 +162,11 @@ class PcapReader:
     damaged regions are skipped (resynchronizing on the next plausible
     record header) and accounted in ``health``.  An unrecognizable
     global header yields an empty iteration instead of raising.
+
+    A file or ``BytesIO`` positioned at the pcap header is scanned
+    zero-copy when its pre-scan is clean; any other source (a stream
+    without ``tell``, such as a socket or an upload) takes the
+    streaming reader, which is the tolerant reference.
     """
 
     def __init__(
@@ -173,9 +174,6 @@ class PcapReader:
         source: BinaryIO | str | Path,
         tolerant: bool = False,
         health: TraceHealth | None = None,
-        *,
-        mmap: bool | None = None,
-        decode_batch: int | None = None,
     ) -> None:
         if isinstance(source, (str, Path)):
             self._stream: BinaryIO = open(source, "rb")
@@ -185,12 +183,6 @@ class PcapReader:
             self._owns_stream = False
         self.tolerant = tolerant
         self.health = health if health is not None else TraceHealth()
-        self.mmap_mode = mmap
-        self.decode_batch = (
-            decode_batch
-            if decode_batch is not None and decode_batch > 0
-            else DEFAULT_DECODE_BATCH
-        )
         self.nanosecond = False
         self.snaplen = DEFAULT_SNAPLEN
         self.linktype = LINKTYPE_ETHERNET
@@ -313,20 +305,16 @@ class PcapReader:
                 obs.metrics.counter("ingest.fast_records").inc(records)
 
     # ------------------------------------------------------------------
-    # Fast path: zero-copy buffer scan with batched record decode
+    # Fast path: zero-copy buffer scan
     # ------------------------------------------------------------------
-    def _acquire_buffer(self) -> "_mmap.mmap | memoryview | None":
+    def _acquire_buffer(self) -> "mmap.mmap | memoryview | None":
         """A zero-copy view of the whole capture, or None.
 
         Only sources whose pcap stream begins at file offset 0 (checked
         via ``tell() == bytes consumed so far``) are eligible: the scan
-        addresses the buffer with absolute offsets.  ``mmap=False``
-        disables the fast path entirely; ``mmap=None`` (auto) and
-        ``mmap=True`` differ only in intent — both degrade silently to
-        the streaming reader when no buffer can be had.
+        addresses the buffer with absolute offsets.  A source with no
+        buffer to be had takes the streaming reader.
         """
-        if self.mmap_mode is False:
-            return None
         stream = self._stream
         try:
             if stream.tell() != self._offset:
@@ -340,20 +328,20 @@ class PcapReader:
         except (AttributeError, OSError, io.UnsupportedOperation):
             return None
         try:
-            return _mmap.mmap(fileno, 0, access=_mmap.ACCESS_READ)
+            return mmap.mmap(fileno, 0, access=mmap.ACCESS_READ)
         except (ValueError, OSError):
             # Empty file, pipe, or a platform refusing the mapping.
             return None
 
     @staticmethod
-    def _release_buffer(buffer: "_mmap.mmap | memoryview") -> None:
+    def _release_buffer(buffer: "mmap.mmap | memoryview") -> None:
         if isinstance(buffer, memoryview):
             buffer.release()
         else:
             buffer.close()
 
     def _scan_index(
-        self, buffer: "_mmap.mmap | memoryview", base: int
+        self, buffer: "mmap.mmap | memoryview", base: int
     ) -> tuple[list[tuple[int, int, int, int]], bool]:
         """One header walk over the buffer: the record index + verdict.
 
@@ -429,10 +417,10 @@ class PcapReader:
 
     def _iter_fast(
         self,
-        buffer: "_mmap.mmap | memoryview",
+        buffer: "mmap.mmap | memoryview",
         index: list[tuple[int, int, int, int]],
     ) -> Iterator[PcapRecord]:
-        """Emit pre-scanned records in decode batches.
+        """Emit pre-scanned records.
 
         Byte-identical to the streaming readers over the clean inputs
         `_scan_index` admits; bookkeeping (``records_read``, the
@@ -442,28 +430,20 @@ class PcapReader:
         """
         health = self.health
         tolerant = self.tolerant
-        batch = self.decode_batch
-        record_cls = PcapRecord
         last_ts: int | None = None
         regressions = 0
         first_regression_at: int | None = None
         try:
-            for chunk_at in range(0, len(index), batch):
-                chunk = index[chunk_at : chunk_at + batch]
-                records = [
-                    record_cls(ts, bytes(buffer[s:e]), orig)
-                    for ts, s, e, orig in chunk
-                ]
-                for record, (ts, _s, e, _orig) in zip(records, chunk):
-                    if tolerant:
-                        if last_ts is not None and ts < last_ts:
-                            regressions += 1
-                            if first_regression_at is None:
-                                first_regression_at = ts
-                        last_ts = ts
-                    health.records_read += 1
-                    self._offset = e
-                    yield record
+            for ts, start, end, orig in index:
+                if tolerant:
+                    if last_ts is not None and ts < last_ts:
+                        regressions += 1
+                        if first_regression_at is None:
+                            first_regression_at = ts
+                    last_ts = ts
+                health.records_read += 1
+                self._offset = end
+                yield PcapRecord(ts, bytes(buffer[start:end]), orig)
         finally:
             if regressions:
                 health.record(
@@ -733,15 +713,9 @@ def read_pcap(
     source: BinaryIO | str | Path,
     tolerant: bool = False,
     health: TraceHealth | None = None,
-    *,
-    mmap: bool | None = None,
-    decode_batch: int | None = None,
 ) -> list[PcapRecord]:
     """Read an entire pcap file into memory."""
-    with PcapReader(
-        source, tolerant=tolerant, health=health,
-        mmap=mmap, decode_batch=decode_batch,
-    ) as reader:
+    with PcapReader(source, tolerant=tolerant, health=health) as reader:
         return list(reader)
 
 

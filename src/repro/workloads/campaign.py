@@ -490,27 +490,25 @@ def run_episode(
         records = setup.sniffer.sorted_records()
         if pcap_out is not None:
             write_pcap(pcap_out, records)
-        report = analyze_pcap(
-            records, min_data_packets=2, strict=strict, health=health
-        )
         transfer_extents = _transfer_extents(setup, records)
+        keys = [_connection_key(handle, setup) for handle in handles]
+        # The paper's analysis period is the table-transfer extent, so
+        # each transfer's pipeline run is clipped to its MCT window.
+        windows = {
+            key: (0, transfer_extents[key].end_us)
+            for key in keys
+            if key in transfer_extents
+        }
+        report = analyze_pcap(
+            records, windows=windows, min_data_packets=2, strict=strict,
+            health=health,
+        )
         results: list[TransferRecord] = []
-        for handle in handles:
-            key = _connection_key(handle, setup)
-            if key not in report.analyses:
-                continue
-            analysis = report.get(key)
-            extent = transfer_extents.get(key)
-            window = (0, extent.end_us) if extent is not None else None
-            if window is not None:
-                # Re-run the pipeline clipped to the MCT window, as the
-                # paper's analysis period is the table-transfer extent.
-                from repro.analysis.tdat import analyze_connection
-
-                analysis = analyze_connection(
-                    analysis.connection, window=window
-                )
-            results.append(_make_record(spec, handle, analysis, extent))
+        for handle, key in zip(handles, keys):
+            if key in report.analyses:
+                results.append(_make_record(
+                    spec, handle, report.get(key), transfer_extents.get(key)
+                ))
     return results
 
 
@@ -919,21 +917,16 @@ def run_zero_ack_bug_episode(
         records = setup.sniffer.sorted_records()
         if pcap_out is not None:
             write_pcap(pcap_out, records)
-        report = analyze_pcap(
-            records, min_data_packets=2, strict=strict, health=health
-        )
         key = _connection_key(handle, setup)
+        extent = _transfer_extents(setup, records).get(key)
+        report = analyze_pcap(
+            records,
+            windows={key: (0, extent.end_us)} if extent is not None else None,
+            min_data_packets=2, strict=strict, health=health,
+        )
         if key not in report.analyses:
             return None
-        extents = _transfer_extents(setup, records)
-        extent = extents.get(key)
         analysis = report.get(key)
-        if extent is not None:
-            from repro.analysis.tdat import analyze_connection
-
-            analysis = analyze_connection(
-                analysis.connection, window=(0, extent.end_us)
-            )
     spec = EpisodeSpec(
         campaign=config.name,
         collector_kind=config.collector_kind,

@@ -1,12 +1,11 @@
 """Differential suite: every fast path vs. its pure-python reference.
 
-The mmap pcap scanner (with its ``decode_batch`` batching) and the
-fused frame decoder must be **byte-identical** to the streaming reader
-and the layered decoder — over clean captures, over the mangled-pcap
-fault corpus, and over adversarial record layouts drawn by Hypothesis.
-At the reader level the reference is selected with ``mmap=False``; at
-the analysis level it is a non-seekable stream, which the reader
-cannot map.
+The mmap pcap scanner and the fused frame decoder must be
+**byte-identical** to the streaming reader and the layered decoder —
+over clean captures, over the mangled-pcap fault corpus, and over
+adversarial record layouts drawn by Hypothesis.  The reference reader
+is selected by feeding the capture through a non-seekable stream,
+which the reader cannot map.
 """
 
 import io
@@ -20,7 +19,7 @@ from repro.analysis.tdat import analyze_pcap
 from repro.core.health import TraceHealth
 from repro.faults.fuzz import clean_trace_bytes
 from repro.faults.mangle import OPERATORS, mangle
-from repro.tools.tdat_cli import _analysis_to_dict
+from repro.analysis.render import analysis_to_dict
 from repro.wire import frames
 from repro.wire.pcap import PcapReader, PcapRecord, records_to_bytes
 from tests.analysis.helpers import Unseekable
@@ -42,7 +41,7 @@ def analyze_payload(blob: bytes, reference: bool = False, **knobs) -> dict:
     report = analyze_pcap(Unseekable(stream) if reference else stream, **knobs)
     payload = {
         "connections": {
-            str(key): _analysis_to_dict(analysis)
+            str(key): analysis_to_dict(analysis)
             for key, analysis in report.analyses.items()
         },
         "health": report.health.to_dict(),
@@ -52,11 +51,19 @@ def analyze_payload(blob: bytes, reference: bool = False, **knobs) -> dict:
     return json.loads(json.dumps(payload, sort_keys=True))
 
 
-def read_outcome(blob: bytes, **reader_knobs):
-    """Records + health ledger one reader configuration produces."""
+def read_outcome(blob: bytes, reference: bool = False):
+    """Records + health ledger the tolerant reader produces.
+
+    ``reference=True`` reads through a non-seekable stream, so the
+    streaming reader runs instead of the mmap scanner.
+    """
     health = TraceHealth()
+    stream = io.BytesIO(blob)
     records = list(
-        PcapReader(io.BytesIO(blob), tolerant=True, health=health, **reader_knobs)
+        PcapReader(
+            Unseekable(stream) if reference else stream,
+            tolerant=True, health=health,
+        )
     )
     return records, health.to_dict()
 
@@ -114,20 +121,14 @@ class TestAnalyzeDifferential:
 
 
 class TestReaderDifferential:
-    """Record-level identity of the batched scanner vs. streaming reads."""
+    """Record-level identity of the mmap scanner vs. streaming reads."""
 
     def test_clean_blob_records_and_health(self, clean_blob):
-        ref_records, ref_health = read_outcome(clean_blob, mmap=False)
+        ref_records, ref_health = read_outcome(clean_blob, reference=True)
         assert ref_records
-        for knobs in (
-            {},
-            {"mmap": True},
-            {"decode_batch": 1},
-            {"decode_batch": 7},
-        ):
-            fast_records, fast_health = read_outcome(clean_blob, **knobs)
-            assert fast_records == ref_records, knobs
-            assert fast_health == ref_health, knobs
+        fast_records, fast_health = read_outcome(clean_blob)
+        assert fast_records == ref_records
+        assert fast_health == ref_health
 
     @given(
         sizes=st.lists(st.integers(min_value=0, max_value=120), max_size=12),
@@ -136,13 +137,10 @@ class TestReaderDifferential:
         ),
         cut=st.integers(min_value=0, max_value=400),
         nanosecond=st.booleans(),
-        batch=st.sampled_from([1, 2, 512]),
     )
     @settings(max_examples=80, deadline=None)
-    def test_arbitrary_layouts_identical(
-        self, sizes, jumps, cut, nanosecond, batch
-    ):
-        """Hypothesis: batched scanning == streaming, bytes and health.
+    def test_arbitrary_layouts_identical(self, sizes, jumps, cut, nanosecond):
+        """Hypothesis: mmap scanning == streaming, bytes and health.
 
         Layouts cover empty records, timestamp regressions, implausible
         jumps (which dirty the scan) and truncation at every offset.
@@ -159,8 +157,8 @@ class TestReaderDifferential:
             )
         blob = records_to_bytes(records, nanosecond=nanosecond)
         blob = blob[: max(len(blob) - cut, 0)]
-        fast = read_outcome(blob, decode_batch=batch)
-        reference = read_outcome(blob, mmap=False)
+        fast = read_outcome(blob)
+        reference = read_outcome(blob, reference=True)
         assert fast == reference
 
     def test_strict_mode_identical(self, clean_blob):
@@ -171,7 +169,7 @@ class TestReaderDifferential:
                 PcapReader(io.BytesIO(blob), health=fast_health)
             )
             reference = list(
-                PcapReader(io.BytesIO(blob), health=ref_health, mmap=False)
+                PcapReader(Unseekable(io.BytesIO(blob)), health=ref_health)
             )
             assert fast == reference
             assert fast_health.to_dict() == ref_health.to_dict()

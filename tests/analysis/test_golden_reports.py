@@ -28,6 +28,7 @@ import json
 
 import pytest
 
+from repro.analysis.budget import ResourceBudget
 from repro.analysis.render import report_payload
 from repro.analysis.tdat import analyze_pcap
 from repro.faults.fuzz import clean_trace_bytes
@@ -155,6 +156,30 @@ def test_report_and_series_digests(captures, name):
     report = analyze_pcap(io.BytesIO(captures[name]))
     assert len(report) > 0
     assert (report_digest(report), catalog_digest(report)) == GOLDEN[name]
+
+
+#: Execution modes that must print the buffered run's report.
+MODES = {
+    "streaming": {"streaming": True},
+    "workers-2": {"workers": 2},
+    "ample-budget": {"budget": ResourceBudget(max_live_connections=4096)},
+}
+
+
+@pytest.mark.parametrize("mode", list(MODES))
+@pytest.mark.parametrize("name", list(GOLDEN))
+def test_every_mode_prints_the_golden_report(captures, name, mode):
+    """Streaming, a worker pool and a budget the trace fits change how
+    the capture is read and analyzed, never the report.  A budget adds
+    its (undegraded) ``degradation`` summary and nothing else."""
+    report = analyze_pcap(io.BytesIO(captures[name]), **MODES[mode])
+    payload = report_payload(report)
+    degradation = payload.pop("degradation", None)
+    assert (degradation is None) == (mode != "ample-budget")
+    assert degradation is None or not degradation["degraded"]
+    text = json.dumps(payload, indent=2)
+    assert _sha256(text.encode("utf-8")) == GOLDEN[name][0]
+    assert catalog_digest(report) == GOLDEN[name][1]
 
 
 def test_mangled_capture_is_damaged(captures):

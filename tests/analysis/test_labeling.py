@@ -1,5 +1,10 @@
 """Unit tests for retransmission / out-of-sequence classification."""
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.analysis import labeling
 from repro.analysis.labeling import (
     KIND_DOWNSTREAM,
     KIND_NEW,
@@ -125,3 +130,106 @@ class TestMixed:
         assert total == len(result.labels) == 5
         assert result.count(KIND_UPSTREAM) == 1
         assert result.count(KIND_DOWNSTREAM) == 1
+
+
+class LinearHoles:
+    """The original hole list: a linear scan per lookup, and a filled
+    hole's pieces appended at the end."""
+
+    def __init__(self):
+        self.holes = []
+
+    def open(self, start, end, created, ip_id):
+        self.holes.append([start, end, created, ip_id])
+
+    def find(self, seq):
+        for at, hole in enumerate(self.holes):
+            if hole[0] <= seq < hole[1]:
+                return at
+        return None
+
+    def fill(self, at, fill_start, fill_end):
+        start, end, created, ip_id = self.holes.pop(at)
+        if fill_start > start:
+            self.holes.append([start, fill_start, created, ip_id])
+        if fill_end < end:
+            self.holes.append([fill_end, end, created, ip_id])
+
+
+#: (relative sequence, length, time step, IP ID step) of data packets:
+#: new data, jumps past holes, fills, overlaps and plain resends.
+segments = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=40),
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=0, max_value=4_000),
+        st.integers(min_value=-3, max_value=5),
+    ),
+    max_size=60,
+)
+
+
+def _labels(connection):
+    return [
+        (l.packet.index, l.kind, l.trigger_time_us, l.recovery_time_us)
+        for l in label_connection(connection).labels
+    ]
+
+
+@given(steps=segments)
+@settings(max_examples=200, deadline=None)
+def test_sorted_holes_label_like_the_linear_scan(steps):
+    """Bisection over sorted holes == the linear hole scan, label by
+    label, on streams full of holes filled in every order."""
+    builder = TraceBuilder().handshake()
+    t = 20_000
+    ip_id = 1_000
+    for unit, length, dt, id_step in steps:
+        t += dt
+        ip_id += id_step
+        builder.data(t, unit * 100, length * 100, ip_id=ip_id & 0xFFFF)
+        if dt % 3 == 0:
+            builder.ack(t + 500, unit * 100)
+    connection = builder.build()
+    sorted_labels = _labels(connection)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(labeling, "_Holes", LinearHoles)
+        assert _labels(connection) == sorted_labels
+
+
+@given(
+    opens=st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=5),
+            st.integers(min_value=1, max_value=30),
+        ),
+        min_size=1,
+        max_size=20,
+    ),
+    fills=st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=700),
+            st.integers(min_value=1, max_value=40),
+        ),
+        max_size=40,
+    ),
+)
+@settings(max_examples=200, deadline=None)
+def test_holes_find_and_fill_match_the_linear_scan(opens, fills):
+    fast, slow = labeling._Holes(), LinearHoles()
+    top = 0
+    for number, (skip, width) in enumerate(opens):
+        start = top + skip
+        for holes in (fast, slow):
+            holes.open(start, start + width, number, number)
+        top = start + width
+    for seq, length in fills:
+        at_fast, at_slow = fast.find(seq), slow.find(seq)
+        assert (at_fast is None) == (at_slow is None)
+        if at_fast is None:
+            continue
+        assert fast.holes[at_fast] == slow.holes[at_slow]
+        fast.fill(at_fast, seq, seq + length)
+        slow.fill(at_slow, seq, seq + length)
+        assert fast.holes == sorted(slow.holes)
+        assert fast.starts == [hole[0] for hole in fast.holes]

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.profile import Trace
 from repro.analysis.tdat import analyze_pcap
@@ -92,6 +94,61 @@ class TestPcap2Bgp:
         records = list(read_mrt(out))
         assert len(records) == count > 0
         assert all(r.local_as == 65000 for r in records)
+
+
+def restart_drain(segments):
+    """The original stash-and-drain loop: after each delivery, rescan
+    the sorted stash from the start until a pass delivers nothing.
+    Returns the chunks each segment released, and the bytes left
+    behind a hole."""
+    pending, next_seq, released = {}, 0, []
+    for seq, payload in segments:
+        out = []
+        released.append(out)
+        end = seq + len(payload)
+        if end <= next_seq:
+            continue
+        if seq > next_seq:
+            pending.setdefault(seq, payload)
+            continue
+        out.append(payload[next_seq - seq :])
+        next_seq = end
+        progressed = True
+        while progressed:
+            progressed = False
+            for stash_seq in sorted(pending):
+                stashed = pending[stash_seq]
+                stash_end = stash_seq + len(stashed)
+                if stash_end <= next_seq:
+                    del pending[stash_seq]
+                    progressed = True
+                elif stash_seq <= next_seq:
+                    del pending[stash_seq]
+                    out.append(stashed[next_seq - stash_seq :])
+                    next_seq = stash_end
+                    progressed = True
+                    break
+    missing = sum(
+        max(0, seq + len(payload) - max(next_seq, seq))
+        for seq, payload in pending.items()
+    )
+    return released, missing
+
+
+@given(st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=60),
+        st.binary(min_size=1, max_size=12),
+    ),
+    max_size=40,
+))
+@settings(max_examples=300, deadline=None)
+def test_reassembler_matches_the_restart_drain(segments):
+    """One ascending pass over the stash delivers what the rescanning
+    loop delivered, through reordering, overlaps and resends."""
+    stream = pcap2bgp._Reassembler()
+    released = [stream.push(seq, payload) for seq, payload in segments]
+    assert (released, stream.missing_bytes()) == restart_drain(segments)
 
 
 class TestTcptraceLite:
